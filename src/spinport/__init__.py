@@ -64,7 +64,6 @@ from .teleport import (
     CorrectionPolicy,
     TeleportResult,
     compose,
-    correction,
     fidelity,
     prepare_beam,
     prepare_deuteron,
@@ -85,7 +84,7 @@ __all__ = [
     # teleport
     "BeamState", "CorrectionPolicy", "TeleportResult",
     "NO_CORRECTION", "SIGMA_Z", "RY_PI",
-    "prepare_deuteron", "prepare_beam", "compose", "fidelity", "correction",
+    "prepare_deuteron", "prepare_beam", "compose", "fidelity",
     "run_postselected", "run_sampled",
     # reaction
     "TargetSpec", "IDEAL_TARGET", "ExperimentConfig", "ModelPrediction",

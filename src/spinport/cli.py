@@ -19,9 +19,9 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__, reaction, teleport
-from .reaction import ExperimentConfig, TargetSpec
+from .reaction import AXIS_VECTORS, ExperimentConfig, TargetSpec
 from .spinalg import InvariantError, SpinAlgebraError, bloch_from, density_from
-from .teleport import BeamState, CorrectionPolicy
+from .teleport import POLICIES, BeamState, CorrectionPolicy
 
 _CONFIG_KEYS = (
     "beam_direction",
@@ -34,12 +34,6 @@ _CONFIG_KEYS = (
     "beam_energy_mev",
     "analyzer_axes",
 )
-
-_AXIS_VECTORS = {
-    "x": (1.0, 0.0, 0.0),
-    "y": (0.0, 1.0, 0.0),
-    "z": (0.0, 0.0, 1.0),
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,8 +60,8 @@ def _parse_axis_name(text: str) -> np.ndarray | None:
     if name.startswith(("+", "-")):
         sign = -1.0 if name[0] == "-" else 1.0
         name = name[1:]
-    if name in _AXIS_VECTORS:
-        return sign * np.array(_AXIS_VECTORS[name])
+    if name in AXIS_VECTORS:
+        return sign * np.array(AXIS_VECTORS[name])
     return None
 
 
@@ -121,7 +115,7 @@ def _parse_target_value(text: str) -> TargetSpec:
 
 def beam_label(direction: np.ndarray) -> str:
     """Axis name when the direction is axis-aligned, else "theta,phi" in degrees."""
-    for name, axis in _AXIS_VECTORS.items():
+    for name, axis in AXIS_VECTORS.items():
         axis = np.array(axis)
         if np.allclose(direction, axis, atol=1e-9):
             return name
@@ -227,12 +221,6 @@ def _emit(args, manifest: list[tuple[str, str]], header: list[str], rows: list[l
         sys.stdout.write(text)
 
 
-def _check_polarization(vector) -> None:
-    norm_sq = vector.px**2 + vector.py**2 + vector.pz**2
-    if norm_sq > 1.0 + 1e-10:
-        raise InvariantError(f"polarization norm {np.sqrt(norm_sq)} exceeds 1")
-
-
 def _collect_overrides(args) -> dict[str, object]:
     overrides: dict[str, object] = {
         "beam_magnitude": args.magnitude,
@@ -279,8 +267,6 @@ def cmd_teleport(args) -> int:
 def cmd_predict(args) -> int:
     config = _load_config(args)
     prediction = reaction.predict(config)
-    _check_polarization(prediction.qt_bloch)
-    _check_polarization(prediction.conventional_bloch)
     label = beam_label(config.beam_direction)
     beam = config.beam_bloch()
     header = ["beam_axis", "beam_px", "beam_py", "beam_pz", "model",
@@ -316,20 +302,18 @@ def cmd_simulate(args) -> int:
 
 
 _SCAN_BEAMS = ("x", "-x", "y", "-y", "z", "-z")
-_SCAN_POLICIES = ("none", "sigma_z", "ry_pi")
 
 
 def cmd_scan(args) -> int:
-    config = _load_config(args)
     header = ["beam_axis", "policy", "probability", "fidelity_pre", "fidelity_post"]
     rows = []
     for beam_name in _SCAN_BEAMS:
         state = BeamState.from_direction(parse_beam_spec(beam_name))
-        for policy_name in _SCAN_POLICIES:
-            result = teleport.run_postselected(state, CorrectionPolicy.parse(policy_name))
-            rows.append([beam_name, policy_name, result.probability,
+        for policy in POLICIES.values():
+            result = teleport.run_postselected(state, policy)
+            rows.append([beam_name, policy.name, result.probability,
                          result.fidelity_pre, result.fidelity_post])
-    _emit(args, _manifest("scan", config_items(config)), header, rows, row_type="scan")
+    _emit(args, _manifest("scan", []), header, rows, row_type="scan")
     return 0
 
 
@@ -355,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_teleport = subparsers.add_parser("teleport", help="run the post-selected protocol for one beam state")
     p_teleport.add_argument("--beam", required=True,
                             help="beam axis (x|y|z, optional sign; write --beam=-x for negative axes) or 'theta,phi' in degrees")
-    p_teleport.add_argument("--correction", choices=_SCAN_POLICIES, default="sigma_z",
+    p_teleport.add_argument("--correction", choices=tuple(POLICIES), default="sigma_z",
                             help="correction policy applied to the selected branch")
     _add_output_flags(p_teleport)
     p_teleport.set_defaults(func=cmd_teleport)
@@ -374,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_simulate.set_defaults(func=cmd_simulate)
 
     p_scan = subparsers.add_parser("scan", help="correction-policy fidelity scan over the six beam axes")
-    _add_config_flags(p_scan)
     _add_output_flags(p_scan)
     p_scan.set_defaults(func=cmd_scan)
 

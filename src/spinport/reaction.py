@@ -32,8 +32,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bellkit import BELL_ORDER, BellLabel, bell_states
-from .spinalg import BlochVector
+from .bellkit import BELL_ORDER, BellLabel
+from .spinalg import BlochVector, unit_vector
 from .teleport import index_from_uniform
 
 #: Denominator floor keeping the enhancement ratio finite when the
@@ -42,7 +42,8 @@ ENHANCEMENT_FLOOR = 1e-6
 
 _DEFAULT_CHUNK = 1 << 16
 
-_AXIS_VECTORS = {
+#: Unit vectors of the named beam and analyzer axes.
+AXIS_VECTORS = {
     "x": (1.0, 0.0, 0.0),
     "y": (0.0, 1.0, 0.0),
     "z": (0.0, 0.0, 1.0),
@@ -56,6 +57,10 @@ _BRANCH_SIGNS = np.array(
 )
 
 _SINGLET_INDEX = BELL_ORDER.index(BellLabel.PSI_MINUS)
+
+# Born weights of the four pair outcomes, in BELL_ORDER: with the channel
+# pair in psi+, each is exactly 1/4 for any (possibly mixed) beam state.
+_BELL_WEIGHTS = np.full(len(BELL_ORDER), 0.25)
 
 
 @dataclass(frozen=True)
@@ -94,20 +99,13 @@ def channel_purity(t: TargetSpec) -> float:
     return t.p_zero
 
 
-def _unit_vector(value, what: str) -> np.ndarray:
-    v = np.asarray(tuple(value), dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"{what} must be a 3-vector, got shape {v.shape}")
-    if abs(float(np.linalg.norm(v)) - 1.0) > 1e-10:
-        raise ValueError(f"{what} must be unit length, |v| = {np.linalg.norm(v)}")
-    v = v.copy()
-    v.setflags(write=False)
-    return v
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved parameters of one prediction or simulation run."""
+    """Resolved parameters of one prediction or simulation run.
+
+    ``beam_energy_mev`` is run metadata: it is recorded in the manifest and
+    used by no model.
+    """
 
     beam_direction: np.ndarray = (0.0, 1.0, 0.0)
     beam_magnitude: float = 1.0
@@ -120,7 +118,7 @@ class ExperimentConfig:
     analyzer_axes: tuple[np.ndarray, ...] = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "beam_direction", _unit_vector(self.beam_direction, "beam_direction"))
+        object.__setattr__(self, "beam_direction", unit_vector(self.beam_direction, "beam_direction"))
         object.__setattr__(self, "beam_magnitude", float(self.beam_magnitude))
         object.__setattr__(self, "epsilon", float(self.epsilon))
         object.__setattr__(self, "k_transfer", float(self.k_transfer))
@@ -131,13 +129,17 @@ class ExperimentConfig:
             raise ValueError(f"beam_magnitude {self.beam_magnitude} outside [0, 1]")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError(f"epsilon {self.epsilon} outside [0, 1]")
-        if abs(self.k_transfer) > 1.0:
-            raise ValueError(f"|k_transfer| = {abs(self.k_transfer)} exceeds 1")
+        if not abs(self.k_transfer) <= 1.0:
+            raise ValueError(f"k_transfer {self.k_transfer} outside [-1, 1]")
         if not isinstance(self.target, TargetSpec):
             raise ValueError("target must be a TargetSpec")
         if self.events < 1:
             raise ValueError(f"events must be positive, got {self.events}")
-        axes = tuple(_unit_vector(axis, "analyzer axis") for axis in self.analyzer_axes)
+        if self.seed is not None and not 0 <= self.seed < 2**128:
+            raise ValueError(f"seed {self.seed} outside [0, 2**128)")
+        if not 0.0 < self.beam_energy_mev < np.inf:
+            raise ValueError(f"beam_energy_mev {self.beam_energy_mev} is not a positive finite energy")
+        axes = tuple(unit_vector(axis, "analyzer axis") for axis in self.analyzer_axes)
         if not axes:
             raise ValueError("at least one analyzer axis is required")
         object.__setattr__(self, "analyzer_axes", axes)
@@ -198,9 +200,9 @@ def correlation_table(config: ExperimentConfig, axes: Sequence[str] = ("x", "y",
     """One prediction row per beam axis, flagging sign flips along that axis."""
     rows = []
     for name in axes:
-        if name not in _AXIS_VECTORS:
+        if name not in AXIS_VECTORS:
             raise ValueError(f"unknown beam axis {name!r}; expected one of x, y, z")
-        direction = np.array(_AXIS_VECTORS[name])
+        direction = np.array(AXIS_VECTORS[name])
         prediction = predict(dataclasses.replace(config, beam_direction=direction))
         beam = BlochVector(*(config.beam_magnitude * direction))
         along = float(direction @ prediction.qt_bloch.as_array())
@@ -246,8 +248,8 @@ class PolarimetryEstimate:
     n_events: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "axis", _unit_vector(self.axis, "analyzer axis"))
-        if self.n_events > 0 and abs(self.p_hat) > 1.0:
+        object.__setattr__(self, "axis", unit_vector(self.axis, "analyzer axis"))
+        if self.n_events > 0 and not abs(self.p_hat) <= 1.0:
             raise ValueError(f"|p_hat| = {abs(self.p_hat)} exceeds 1")
 
     @property
@@ -261,27 +263,6 @@ class PolarimetryEstimate:
             return cls(axis=axis, p_hat=float("nan"), sigma=float("nan"), n_events=0)
         p_hat = (n_plus - n_minus) / n
         return cls(axis=axis, p_hat=p_hat, sigma=float(np.sqrt((1.0 - p_hat**2) / n)), n_events=n)
-
-
-def _bell_probabilities(beam_bloch: np.ndarray) -> np.ndarray:
-    """Born probabilities of the four pair outcomes, in BELL_ORDER.
-
-    Computed from the density matrix of a (possibly partially polarized)
-    beam tensored with the psi+ channel pair; all four come out 1/4.
-    """
-    pauli_stack = np.array(
-        [[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex
-    )
-    rho_beam = 0.5 * (np.eye(2) + np.einsum("i,ijk->jk", beam_bloch, pauli_stack))
-    states = bell_states()
-    pair = states[BellLabel.PSI_PLUS].amplitudes
-    rho = np.kron(rho_beam, np.outer(pair, pair.conj()))
-    probs = []
-    for label in BELL_ORDER:
-        bell = states[label].amplitudes
-        projector = np.kron(np.outer(bell, bell.conj()), np.eye(2))
-        probs.append(float(np.trace(projector @ rho).real))
-    return np.array(probs)
 
 
 def simulate(
@@ -310,7 +291,6 @@ def simulate(
     beam = config.beam_bloch()
     p_teleported = channel_purity(config.target) * (1.0 - config.epsilon)
     background = np.array([0.0, config.k_transfer * beam[1], 0.0])
-    bell_probs = _bell_probabilities(beam)
     axes = np.stack(config.analyzer_axes)
     n_axes = len(config.analyzer_axes)
 
@@ -326,7 +306,7 @@ def simulate(
         event_ids = np.arange(start, stop)
 
         teleported = uniforms[:, 0] < p_teleported
-        slot = np.asarray(index_from_uniform(uniforms[:, 1], bell_probs))
+        slot = np.asarray(index_from_uniform(uniforms[:, 1], _BELL_WEIGHTS))
         accepted = slot == _SINGLET_INDEX
         bloch = np.where(teleported[:, None], _BRANCH_SIGNS[slot] * beam[None, :], background[None, :])
         axis_index = event_ids % n_axes

@@ -167,7 +167,7 @@ class BlochVector:
     def __post_init__(self) -> None:
         for name in ("px", "py", "pz"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        if self.px**2 + self.py**2 + self.pz**2 > 1.0 + 1e-10:
+        if not self.px**2 + self.py**2 + self.pz**2 <= 1.0 + 1e-10:
             raise InvariantError(f"Bloch vector ({self.px}, {self.py}, {self.pz}) has norm > 1")
 
     def norm(self) -> float:
@@ -183,6 +183,21 @@ _PAULI = {
     "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+
+
+def unit_vector(value: Iterable[float], what: str) -> np.ndarray:
+    """``value`` as a read-only unit 3-vector; ``what`` names it in errors.
+
+    The norm test is written so that NaN and infinite components fail it.
+    """
+    v = np.array(tuple(value), dtype=float)
+    if v.shape != (3,):
+        raise DimensionError(f"{what} must be a 3-vector, got shape {v.shape}")
+    norm = float(np.linalg.norm(v))
+    if not abs(norm - 1.0) <= 1e-10:
+        raise SpinAlgebraError(f"{what} must be unit length, |{what}| = {norm}")
+    v.setflags(write=False)
+    return v
 
 
 def pauli(axis: str) -> Operator:
@@ -255,11 +270,7 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
 
 def rotation(axis: Iterable[float], angle: float) -> Operator:
     """Spin rotation exp(-i*angle*(axis.sigma)/2) about a unit 3-vector axis."""
-    n = np.asarray(tuple(axis), dtype=float)
-    if n.shape != (3,):
-        raise DimensionError(f"rotation axis must be a 3-vector, got shape {n.shape}")
-    if abs(float(np.linalg.norm(n)) - 1.0) > 1e-10:
-        raise SpinAlgebraError(f"rotation axis must be unit length, |axis| = {np.linalg.norm(n)}")
+    n = unit_vector(axis, "rotation axis")
     n_sigma = n[0] * _PAULI["x"] + n[1] * _PAULI["y"] + n[2] * _PAULI["z"]
     half = 0.5 * float(angle)
     return Operator(np.cos(half) * np.eye(2) - 1j * np.sin(half) * n_sigma)
@@ -284,11 +295,7 @@ def ket_from_direction(n: Iterable[float]) -> Ket:
     Amplitudes are (cos(theta/2), e^{i phi} sin(theta/2)) with (theta, phi)
     the spherical angles of ``n``.
     """
-    v = np.asarray(tuple(n), dtype=float)
-    if v.shape != (3,):
-        raise DimensionError(f"direction must be a 3-vector, got shape {v.shape}")
-    if abs(float(np.linalg.norm(v)) - 1.0) > 1e-10:
-        raise SpinAlgebraError(f"direction must be unit length, |n| = {np.linalg.norm(v)}")
+    v = unit_vector(n, "direction")
     theta = float(np.arccos(np.clip(v[2], -1.0, 1.0)))
     phi = float(np.arctan2(v[1], v[0]))
     return Ket([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)])

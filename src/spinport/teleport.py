@@ -26,8 +26,6 @@ from .spinalg import (
     SpinAlgebraError,
 )
 
-_POLICY_NAMES = ("none", "sigma_z", "ry_pi", "custom")
-
 
 @dataclass(frozen=True)
 class BeamState:
@@ -40,7 +38,7 @@ class BeamState:
         object.__setattr__(self, "a", complex(self.a))
         object.__setattr__(self, "b", complex(self.b))
         total = abs(self.a) ** 2 + abs(self.b) ** 2
-        if abs(total - 1.0) > ATOL_ALGEBRA:
+        if not abs(total - 1.0) <= ATOL_ALGEBRA:
             raise NormalizationError(f"|a|^2 + |b|^2 = {total}, not 1 within 1e-12")
 
     @classmethod
@@ -54,25 +52,14 @@ class BeamState:
 
 @dataclass(frozen=True)
 class CorrectionPolicy:
-    """Unitary applied to the post-selected neutron state.
-
-    Named policies: "none", "sigma_z", "ry_pi". A "custom" policy carries
-    its own single-particle unitary.
-    """
+    """A named single-particle unitary applied to the post-selected neutron state."""
 
     name: str
-    operator: Operator | None = None
+    operator: Operator
 
     def __post_init__(self) -> None:
-        if self.name not in _POLICY_NAMES:
-            raise SpinAlgebraError(f"unknown correction policy {self.name!r}; expected one of {_POLICY_NAMES}")
-        if self.name == "custom":
-            if self.operator is None or self.operator.dim != 2:
-                raise SpinAlgebraError("custom correction needs a single-particle operator")
-            if not self.operator.is_unitary:
-                raise SpinAlgebraError("custom correction operator must be unitary within 1e-12")
-        elif self.operator is not None:
-            raise SpinAlgebraError(f"policy {self.name!r} does not take an operator")
+        if self.operator.dim != 2 or not self.operator.is_unitary:
+            raise SpinAlgebraError(f"correction {self.name!r} needs a single-particle unitary within 1e-12")
 
     @classmethod
     def custom(cls, operator: Operator) -> "CorrectionPolicy":
@@ -80,14 +67,20 @@ class CorrectionPolicy:
 
     @classmethod
     def parse(cls, text: str) -> "CorrectionPolicy":
-        if text not in ("none", "sigma_z", "ry_pi"):
-            raise SpinAlgebraError(f"unknown correction policy {text!r}; expected none, sigma_z or ry_pi")
-        return cls(text)
+        try:
+            return POLICIES[text]
+        except KeyError:
+            raise SpinAlgebraError(
+                f"unknown correction policy {text!r}; expected one of {', '.join(POLICIES)}"
+            ) from None
 
 
-NO_CORRECTION = CorrectionPolicy("none")
-SIGMA_Z = CorrectionPolicy("sigma_z")
-RY_PI = CorrectionPolicy("ry_pi")
+NO_CORRECTION = CorrectionPolicy("none", spinalg.pauli("identity"))
+SIGMA_Z = CorrectionPolicy("sigma_z", spinalg.pauli("z"))
+RY_PI = CorrectionPolicy("ry_pi", spinalg.rotation((0.0, 1.0, 0.0), np.pi))
+
+#: The named policies, by name, in scan order.
+POLICIES = {policy.name: policy for policy in (NO_CORRECTION, SIGMA_Z, RY_PI)}
 
 
 @dataclass(frozen=True)
@@ -141,18 +134,6 @@ def fidelity(x: Ket, y: Ket) -> float:
     return min(1.0, abs(spinalg.inner(x, y)) ** 2)
 
 
-def correction(policy: CorrectionPolicy) -> Operator:
-    """The unitary a policy stands for."""
-    if policy.name == "none":
-        return spinalg.pauli("identity")
-    if policy.name == "sigma_z":
-        return spinalg.pauli("z")
-    if policy.name == "ry_pi":
-        return spinalg.rotation((0.0, 1.0, 0.0), np.pi)
-    assert policy.operator is not None
-    return policy.operator
-
-
 def index_from_uniform(u, probabilities) -> np.ndarray | int:
     """Map uniform variates in [0, 1) to outcome indices by inverting the CDF.
 
@@ -170,7 +151,7 @@ def run_postselected(s: BeamState, policy: CorrectionPolicy = SIGMA_Z) -> Telepo
     beam = prepare_beam(s)
     psi = compose(beam, prepare_deuteron())
     probability, neutron_pre = bellkit.project_bell(psi, BellLabel.PSI_MINUS)
-    neutron_post = spinalg.apply(correction(policy), neutron_pre)
+    neutron_post = spinalg.apply(policy.operator, neutron_pre)
     return TeleportResult(
         outcome=BellLabel.PSI_MINUS,
         probability=probability,
@@ -197,7 +178,7 @@ def run_sampled(s: BeamState, policy: CorrectionPolicy, seed: int) -> TeleportRe
     branch = decomposition.branches[outcome]
     neutron_pre = branch.conditional
     if outcome is BellLabel.PSI_MINUS:
-        neutron_post = spinalg.apply(correction(policy), neutron_pre)
+        neutron_post = spinalg.apply(policy.operator, neutron_pre)
         fidelity_post = fidelity(beam, neutron_post)
     else:
         neutron_post = None

@@ -1,13 +1,14 @@
 """Tests for the command-line front end."""
 
+import hashlib
 import json
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from spinport import cli
 from spinport.reaction import ExperimentConfig
+from spinport.spinalg import BlochVector
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -115,13 +116,10 @@ class TestPredictCommand:
         assert manifest["beam_direction"] == "1.0,0.0,0.0"
 
     def test_invariant_violation_exits_2(self, capsys, monkeypatch):
-        bad = SimpleNamespace(
-            qt_bloch=SimpleNamespace(px=2.0, py=0.0, pz=0.0),
-            conventional_bloch=SimpleNamespace(px=0.0, py=0.0, pz=0.0),
-            enhancement=1.0,
-        )
-        monkeypatch.setattr(cli.reaction, "predict", lambda config: bad)
+        # A prediction whose Bloch vector leaves the unit ball fails BlochVector's own check.
+        monkeypatch.setattr(cli.reaction, "predict", lambda config: BlochVector(2.0, 0.0, 0.0))
         assert cli.main(["predict", "--beam", "x"]) == 2
+        assert "has norm > 1" in capsys.readouterr().err
 
     def test_jsonl_format(self, capsys):
         code, out = run(capsys, "predict", "--beam", "y", "--format", "jsonl")
@@ -134,9 +132,49 @@ class TestPredictCommand:
         assert lines[1]["neutron_py"] == -0.964
 
 
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["predict", "--beam", "nan,0"], "beam_direction"),
+            (["predict", "--beam", "0,inf"], "beam_direction"),
+            (["predict", "--magnitude", "nan"], "beam_magnitude"),
+            (["predict", "--epsilon", "inf"], "epsilon"),
+            (["simulate", "--kyy", "nan", "--seed", "1"], "k_transfer"),
+            (["simulate", "--seed", "-1", "--events", "10"], "seed"),
+            (["simulate", "--seed", str(2**128), "--events", "10"], "seed"),
+        ],
+    )
+    def test_exit_1_naming_the_key(self, capsys, argv, key):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert key in captured.err
+
+    def test_non_finite_config_file_value_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("beam_energy_mev = nan\n")
+        assert cli.main(["predict", "--config", str(path)]) == 1
+        assert "beam_energy_mev" in capsys.readouterr().err
+
+
 class TestSimulateCommand:
     def test_missing_seed_exits_1(self, capsys):
         assert cli.main(["simulate", "--events", "100"]) == 1
+
+    @pytest.mark.parametrize(
+        "fmt, digest",
+        [
+            ("csv", "4fb9680a6aa00d6ca39c807b5e52e362ceb1d53ea034f7495f3d0aca0b23b626"),
+            ("jsonl", "cfd96d615bfda4266fb327a3b790851d95b5c1b8c19302450e72cfdfc92ca724"),
+        ],
+    )
+    def test_golden_digest(self, tmp_path, fmt, digest):
+        # Pins the seeded byte contract: any change to sampling, ordering or
+        # formatting of `spinport simulate --seed 7 --events 20000` shows here.
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--seed", "7", "--events", "20000", "--format", fmt, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_byte_identical_reruns(self, tmp_path):
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -189,6 +227,16 @@ class TestScanCommand:
         assert float(by_key[("y", "ry_pi")]["fidelity_post"]) == pytest.approx(0.0, abs=1e-12)
         assert float(by_key[("z", "sigma_z")]["fidelity_post"]) == pytest.approx(1.0, abs=1e-12)
         assert all(float(row["probability"]) == pytest.approx(0.25, abs=1e-12) for row in rows)
+
+    def test_manifest_holds_no_config(self, capsys):
+        _, out = run(capsys, "scan")
+        assert manifest_of(out) == {"subcommand": "scan", "version": cli.__version__}
+
+    @pytest.mark.parametrize("flag", ["--config", "--beam", "--magnitude", "--epsilon", "--kyy", "--target"])
+    def test_config_flags_are_usage_errors(self, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["scan", flag, "0.3"])
+        assert excinfo.value.code == 1
 
 
 class TestConfigRoundTrip:

@@ -1,0 +1,91 @@
+"""Property-based tests of config serialisation and of the analytic model."""
+
+import numpy as np
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
+
+from spinport import cli
+from spinport.reaction import ExperimentConfig, TargetSpec, predict
+
+# Derandomized and without an example database: the same examples on every
+# run, and nothing written next to the sources.
+PROPERTY = settings(deadline=None, database=None, derandomize=True, max_examples=200)
+
+unit_floats = st.floats(0.0, 1.0)
+
+
+@st.composite
+def unit_vectors(draw):
+    v = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3)))
+    norm = float(np.linalg.norm(v))
+    if norm < 1e-3:
+        reject()
+    return tuple(float(c) for c in v / norm)
+
+
+@st.composite
+def targets(draw):
+    weights = np.array(draw(st.tuples(unit_floats, unit_floats, unit_floats)))
+    if weights.sum() < 1e-3:
+        reject()
+    return TargetSpec(*(weights / weights.sum()))
+
+
+configs = st.builds(
+    ExperimentConfig,
+    beam_direction=unit_vectors(),
+    beam_magnitude=unit_floats,
+    epsilon=unit_floats,
+    k_transfer=st.floats(-1.0, 1.0),
+    target=targets(),
+    events=st.integers(1, 10**9),
+    seed=st.none() | st.integers(0, 2**128 - 1),
+    beam_energy_mev=st.floats(1e-3, 1e6),
+    analyzer_axes=st.lists(unit_vectors(), min_size=1, max_size=4).map(tuple),
+)
+
+
+@PROPERTY
+@given(configs)
+def test_config_round_trips_through_its_text(config):
+    text = "\n".join(f"{key} = {value}" for key, value in cli.config_items(config))
+    restored = cli.resolve_config(cli.parse_config_text(text), {})
+    assert np.array_equal(restored.beam_direction, config.beam_direction)
+    assert restored.beam_magnitude == config.beam_magnitude
+    assert restored.epsilon == config.epsilon
+    assert restored.k_transfer == config.k_transfer
+    assert restored.target == config.target
+    assert restored.events == config.events
+    assert restored.seed == config.seed
+    assert restored.beam_energy_mev == config.beam_energy_mev
+    assert len(restored.analyzer_axes) == len(config.analyzer_axes)
+    assert all(np.array_equal(a, b) for a, b in zip(restored.analyzer_axes, config.analyzer_axes))
+    assert cli.config_items(restored) == cli.config_items(config)
+
+
+SCALAR_BOUNDS = {"beam_magnitude": (0.0, 1.0), "epsilon": (0.0, 1.0), "k_transfer": (-1.0, 1.0)}
+
+
+@PROPERTY
+@given(
+    direction=unit_vectors(),
+    target=targets(),
+    scalars=st.fixed_dictionaries({key: st.floats(*bounds) for key, bounds in SCALAR_BOUNDS.items()}),
+    wild_key=st.sampled_from([None, *SCALAR_BOUNDS]),
+    wild_value=st.floats() | st.sampled_from([np.nan, np.inf, -np.inf]),
+)
+def test_every_config_that_constructs_predicts_inside_the_unit_ball(direction, target, scalars, wild_key, wild_value):
+    # At most one scalar is drawn from all floats, NaN and infinities
+    # included; if the config refuses it, the error must name that key.
+    if wild_key is not None:
+        scalars[wild_key] = wild_value
+    try:
+        config = ExperimentConfig(beam_direction=direction, target=target, **scalars)
+    except ValueError as exc:
+        assert wild_key is not None and wild_key in str(exc)
+        return
+    prediction = predict(config)
+    for vector in (prediction.qt_bloch, prediction.conventional_bloch):
+        assert np.all(np.isfinite(vector.as_array()))
+        assert vector.norm() <= 1.0 + 1e-10
+    assert np.isfinite(prediction.enhancement) and prediction.enhancement >= 0.0

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from helpers import random_unit_vector
+from spinport import reaction
+from spinport.bellkit import BELL_ORDER, BellLabel, bell_states, decompose_12
 from spinport.reaction import (
     IDEAL_TARGET,
     EventRecord,
@@ -19,6 +21,8 @@ from spinport.reaction import (
     simulate,
     target_moments,
 )
+from spinport.spinalg import bloch_from, density_from, pauli
+from spinport.teleport import BeamState, compose, prepare_beam, prepare_deuteron
 
 X, Y, Z = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)
 
@@ -78,6 +82,30 @@ class TestExperimentConfig:
             config(beam_direction=(1, 1, 0))
         with pytest.raises(ValueError):
             config(analyzer_axes=())
+
+    @pytest.mark.parametrize("key", ("beam_magnitude", "epsilon", "k_transfer", "beam_energy_mev"))
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    def test_non_finite_scalars_are_rejected_by_name(self, key, bad):
+        with pytest.raises(ValueError, match=key):
+            config(**{key: bad})
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf))
+    def test_non_finite_vectors_are_rejected_by_name(self, bad):
+        with pytest.raises(ValueError, match="beam_direction"):
+            config(beam_direction=(bad, 0.0, 0.0))
+        with pytest.raises(ValueError, match="analyzer axis"):
+            config(analyzer_axes=((0.0, bad, 0.0),))
+
+    def test_beam_energy_must_be_positive(self):
+        with pytest.raises(ValueError, match="beam_energy_mev"):
+            config(beam_energy_mev=0.0)
+
+    def test_seed_range(self):
+        assert config(seed=0).seed == 0
+        assert config(seed=2**128 - 1).seed == 2**128 - 1
+        for bad in (-1, 2**128):
+            with pytest.raises(ValueError, match="seed"):
+                config(seed=bad)
 
     def test_beam_bloch(self):
         c = config(beam_direction=X, beam_magnitude=0.5)
@@ -261,6 +289,52 @@ class TestAcceptance:
     def test_event_record_validation(self):
         with pytest.raises(ValueError):
             EventRecord(0, True, 0, 0)
+
+
+def born_weights_from_density_matrix(beam_bloch: np.ndarray) -> np.ndarray:
+    """Oracle: Born weights of the four pair outcomes, in BELL_ORDER.
+
+    Traces each Bell projector on particles (1, 2) against the density matrix
+    of a (possibly mixed) beam tensored with the psi+ channel pair.
+    """
+    paulis = np.array([pauli(axis).entries for axis in "xyz"])
+    rho_beam = 0.5 * (np.eye(2) + np.einsum("i,ijk->jk", beam_bloch, paulis))
+    states = bell_states()
+    pair = states[BellLabel.PSI_PLUS].amplitudes
+    rho = np.kron(rho_beam, np.outer(pair, pair.conj()))
+    weights = []
+    for label in BELL_ORDER:
+        bell = states[label].amplitudes
+        projector = np.kron(np.outer(bell, bell.conj()), np.eye(2))
+        weights.append(np.trace(projector @ rho).real)
+    return np.array(weights)
+
+
+class TestPhysicalTables:
+    def test_bell_weights_are_exact_quarters(self):
+        assert reaction._BELL_WEIGHTS.tolist() == [0.25] * 4
+        assert np.cumsum(reaction._BELL_WEIGHTS).tolist() == [0.25, 0.5, 0.75, 1.0]
+
+    def test_bell_weights_match_density_matrix_and_decomposition(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            direction = random_unit_vector(rng)
+            mixed = rng.uniform(0.0, 1.0) * direction
+            assert np.allclose(born_weights_from_density_matrix(mixed), reaction._BELL_WEIGHTS, atol=1e-12, rtol=0)
+            assert np.allclose(born_weights_from_density_matrix(direction), reaction._BELL_WEIGHTS, atol=1e-12, rtol=0)
+            beam = BeamState.from_direction(direction)
+            probabilities = decompose_12(compose(prepare_beam(beam), prepare_deuteron())).probabilities()
+            assert np.allclose(list(probabilities.values()), reaction._BELL_WEIGHTS, atol=1e-12, rtol=0)
+
+    def test_branch_signs_match_decomposition_conditionals(self):
+        rng = np.random.default_rng(2025)
+        for _ in range(200):
+            n = random_unit_vector(rng)
+            beam = BeamState.from_direction(n)
+            decomposition = decompose_12(compose(prepare_beam(beam), prepare_deuteron()))
+            for signs, label in zip(reaction._BRANCH_SIGNS, BELL_ORDER):
+                conditional = bloch_from(density_from(decomposition.conditional(label))).as_array()
+                assert np.allclose(conditional, signs * n, atol=1e-12, rtol=0)
 
 
 def test_config_replace_keeps_validation():

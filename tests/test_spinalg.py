@@ -6,6 +6,7 @@ import scipy.linalg
 
 from helpers import random_ket, random_unit_vector
 from spinport.spinalg import (
+    BlochVector,
     DensityMatrix,
     DimensionError,
     InvariantError,
@@ -24,6 +25,7 @@ from spinport.spinalg import (
     pauli,
     rotation,
     tensor,
+    unit_vector,
 )
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
@@ -240,6 +242,40 @@ class TestPauli:
             pauli("w")
 
 
+NON_FINITE = (np.nan, np.inf, -np.inf)
+
+
+class TestUnitVector:
+    def test_returns_a_read_only_copy(self):
+        source = np.array([0.6, 0.0, 0.8])
+        v = unit_vector(source, "axis")
+        assert np.array_equal(v, source)
+        source[0] = 0.0
+        assert v[0] == 0.6
+        with pytest.raises(ValueError):
+            v[0] = 1.0
+
+    def test_wrong_shape(self):
+        with pytest.raises(DimensionError, match="axis must be a 3-vector"):
+            unit_vector((1.0, 0.0), "axis")
+
+    def test_non_unit(self):
+        with pytest.raises(SpinAlgebraError, match="axis must be unit length"):
+            unit_vector((1.0, 1.0, 0.0), "axis")
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_components(self, bad):
+        with pytest.raises(SpinAlgebraError, match="axis must be unit length"):
+            unit_vector((bad, 0.0, 0.0), "axis")
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_rotation_and_ket_from_direction_reject_non_finite(self, bad):
+        with pytest.raises(SpinAlgebraError, match="rotation axis"):
+            rotation((bad, 0.0, 0.0), 1.0)
+        with pytest.raises(SpinAlgebraError, match="direction"):
+            ket_from_direction((0.0, bad, 0.0))
+
+
 class TestRotation:
     def test_zero_angle_is_identity(self):
         assert np.allclose(rotation((0, 1, 0), 0.0).entries, np.eye(2))
@@ -343,6 +379,9 @@ class TestStateInvariants:
 
     def test_bloch_vector_ball(self):
         with pytest.raises(InvariantError):
-            from spinport.spinalg import BlochVector
-
             BlochVector(1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_bloch_vector_rejects_non_finite(self, bad):
+        with pytest.raises(InvariantError):
+            BlochVector(bad, 0.0, 0.0)

@@ -19,12 +19,12 @@ from spinport.spinalg import (
 )
 from spinport.teleport import (
     NO_CORRECTION,
+    POLICIES,
     RY_PI,
     SIGMA_Z,
     BeamState,
     CorrectionPolicy,
     compose,
-    correction,
     fidelity,
     prepare_beam,
     prepare_deuteron,
@@ -67,6 +67,13 @@ class TestPreparation:
         with pytest.raises(NormalizationError):
             BeamState(1, 1)
 
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, complex(0.0, np.nan)))
+    def test_beam_state_rejects_non_finite(self, bad):
+        with pytest.raises(NormalizationError):
+            BeamState(bad, 0)
+        with pytest.raises(NormalizationError):
+            BeamState(0, bad)
+
     def test_beam_state_from_direction(self):
         beam = BeamState.from_direction((0, 0, -1))
         assert np.allclose(beam.bloch().as_array(), [0, 0, -1], atol=1e-12)
@@ -92,21 +99,21 @@ class TestCompose:
 class TestCorrection:
     def test_sigma_z_undoes_the_sign_flip(self):
         a, b = 0.6, 0.8j
-        out = apply(correction(SIGMA_Z), Ket([a, -b]))
+        out = apply(SIGMA_Z.operator, Ket([a, -b]))
         assert np.allclose(out.amplitudes, [a, b], atol=1e-15)
 
     def test_ry_pi_maps_minus_x_to_plus_x(self):
-        out = apply(correction(RY_PI), Ket([SQRT_HALF, -SQRT_HALF]))
+        out = apply(RY_PI.operator, Ket([SQRT_HALF, -SQRT_HALF]))
         overlap = np.vdot([SQRT_HALF, SQRT_HALF], out.amplitudes)
         assert abs(overlap) == pytest.approx(1.0, abs=1e-12)
 
     def test_none_is_identity(self):
         k = Ket([0.6, 0.8j])
-        assert np.allclose(apply(correction(NO_CORRECTION), k).amplitudes, k.amplitudes)
+        assert np.allclose(apply(NO_CORRECTION.operator, k).amplitudes, k.amplitudes)
 
     def test_custom_policy(self):
         policy = CorrectionPolicy.custom(pauli("x"))
-        assert np.allclose(correction(policy).entries, pauli("x").entries)
+        assert np.allclose(policy.operator.entries, pauli("x").entries)
 
     def test_custom_policy_rejects_non_unitary(self):
         with pytest.raises(SpinAlgebraError):
@@ -116,6 +123,13 @@ class TestCorrection:
         assert CorrectionPolicy.parse("ry_pi") == RY_PI
         with pytest.raises(SpinAlgebraError):
             CorrectionPolicy.parse("sigma_x")
+
+    def test_named_policies_are_built_once(self):
+        assert list(POLICIES) == ["none", "sigma_z", "ry_pi"]
+        for name, policy in POLICIES.items():
+            assert policy.name == name
+            assert CorrectionPolicy.parse(name) is policy
+            assert policy.operator.dim == 2 and policy.operator.is_unitary
 
 
 class TestFidelity:
