@@ -31,6 +31,7 @@ from .reaction import (
     acceptance_fraction,
     channel_purity,
     correlation_table,
+    event_records,
     predict,
     simulate,
     target_moments,
@@ -90,5 +91,5 @@ __all__ = [
     "TargetSpec", "IDEAL_TARGET", "ExperimentConfig", "ModelPrediction",
     "CorrelationRow", "EventRecord", "PolarimetryEstimate",
     "target_moments", "channel_purity", "predict", "correlation_table",
-    "simulate", "acceptance_fraction",
+    "simulate", "event_records", "acceptance_fraction",
 ]

@@ -12,9 +12,10 @@ invariant was violated at runtime.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -73,7 +74,10 @@ def parse_beam_spec(text: str) -> np.ndarray:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"beam spec {text!r} is neither an axis name nor 'theta,phi' in degrees")
-    theta, phi = (np.radians(float(p)) for p in parts)
+    angles = [float(p) for p in parts]
+    if not np.isfinite(angles).all():
+        raise ValueError(f"beam_direction angles {text!r} must be finite degrees")
+    theta, phi = np.radians(angles)
     return np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
 
 
@@ -200,8 +204,9 @@ def _json_value(value):
 
 
 def _emit(args, manifest: list[tuple[str, str]], header: list[str], rows: list[list],
-          row_type: str, extra_json_rows: list[dict] | None = None) -> None:
-    """Write manifest plus table rows; ``rows`` carry native (unformatted) values."""
+          row_type: str, tail_lines: Iterable[str] = ()) -> None:
+    """Write manifest and table rows (native, unformatted values), then stream the
+    finished, newline-terminated ``tail_lines`` as they are produced."""
     if args.format == "csv":
         lines = [f"# {key} = {value}" for key, value in manifest]
         lines.append(",".join(header))
@@ -212,13 +217,9 @@ def _emit(args, manifest: list[tuple[str, str]], header: list[str], rows: list[l
             json.dumps({"type": row_type, **{key: _json_value(value) for key, value in zip(header, row)}})
             for row in rows
         )
-        lines.extend(json.dumps(row) for row in extra_json_rows or [])
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", newline="") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    with open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout) as handle:
+        handle.writelines(line + "\n" for line in lines)
+        handle.writelines(tail_lines)
 
 
 def _collect_overrides(args) -> dict[str, object]:
@@ -283,21 +284,21 @@ def cmd_simulate(args) -> int:
     config = _load_config(args)
     if config.seed is None:
         raise ValueError("simulate requires an explicit --seed (or a seed in the config file)")
-    records, estimates = reaction.simulate(config)
+    estimates = reaction.simulate(config)
     header = ["axis_x", "axis_y", "axis_z", "p_hat", "sigma", "n_events"]
     rows = [
         [float(e.axis[0]), float(e.axis[1]), float(e.axis[2]), e.p_hat, e.sigma, e.n_events]
         for e in estimates
     ]
-    event_rows = None
-    if args.format == "jsonl":
-        event_rows = [
-            {"type": "event", "event_id": r.event_id, "accepted": r.accepted,
-             "axis_index": r.axis_index, "spin_outcome": r.spin_outcome}
-            for r in records
-        ]
+    # The estimates precede the events, so JSON lines draws the seeded stream
+    # a second time and streams it, instead of holding every event.
+    event_lines = () if args.format == "csv" else (
+        f'{{"type": "event", "event_id": {r.event_id}, "accepted": {"true" if r.accepted else "false"}, '
+        f'"axis_index": {r.axis_index}, "spin_outcome": {r.spin_outcome}}}\n'
+        for r in reaction.event_records(config)
+    )
     _emit(args, _manifest("simulate", config_items(config)), header, rows,
-          row_type="estimate", extra_json_rows=event_rows)
+          row_type="estimate", tail_lines=event_lines)
     return 0
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -265,23 +265,17 @@ class PolarimetryEstimate:
         return cls(axis=axis, p_hat=p_hat, sigma=float(np.sqrt((1.0 - p_hat**2) / n)), n_events=n)
 
 
-def simulate(
-    config: ExperimentConfig, *, chunk_size: int = _DEFAULT_CHUNK
-) -> tuple[list[EventRecord], list[PolarimetryEstimate]]:
-    """Sample the event stream and estimate the neutron polarization.
+def _event_columns(config: ExperimentConfig, chunk_size: int) -> Iterator[tuple]:
+    """Sample the event stream; yield ``(first_id, accepted, axis_index, spin)`` per chunk.
 
     Per event: one uniform decides the channel (teleported with probability
-    purity * (1 - epsilon), else conventional background), one uniform
-    decides whether the event passes the neutron-energy selection (the
-    singlet slot of the Bell distribution, probability 1/4, applied to both
-    channels), and one uniform samples the spin of the neutron along the
-    event's analyzer axis (round-robin over ``analyzer_axes`` by event id)
-    with P(+1) = (1 + P.axis)/2. Every neutron gets a spin outcome;
-    estimates use accepted events only.
-
-    ``chunk_size`` only partitions the work: event ``i`` always draws from
-    Philox block ``i`` keyed by the seed, so any partition (or parallel
-    schedule) yields bit-identical results.
+    purity * (1 - epsilon), else conventional background), one whether the
+    event passes the neutron-energy selection (the singlet slot of the Bell
+    distribution, probability 1/4 on both channels), and one the neutron spin
+    along the event's analyzer axis (round-robin by event id), with
+    P(+1) = (1 + P.axis)/2. Event ``i`` always draws Philox block ``i`` keyed
+    by the seed, so any ``chunk_size`` yields bit-identical columns, and the
+    stream can be drawn again instead of being stored.
     """
     if config.seed is None:
         raise ValueError("simulate requires an explicit seed")
@@ -292,41 +286,40 @@ def simulate(
     p_teleported = channel_purity(config.target) * (1.0 - config.epsilon)
     background = np.array([0.0, config.k_transfer * beam[1], 0.0])
     axes = np.stack(config.analyzer_axes)
-    n_axes = len(config.analyzer_axes)
-
-    records: list[EventRecord] = []
-    plus_counts = np.zeros(n_axes, dtype=np.int64)
-    minus_counts = np.zeros(n_axes, dtype=np.int64)
 
     for start in range(0, config.events, chunk_size):
         stop = min(start + chunk_size, config.events)
-        uniforms = np.random.Generator(
-            np.random.Philox(key=config.seed, counter=start)
-        ).random((stop - start, 4))
-        event_ids = np.arange(start, stop)
-
+        generator = np.random.Generator(np.random.Philox(key=config.seed, counter=start))
+        uniforms = generator.random((stop - start, 4))
         teleported = uniforms[:, 0] < p_teleported
         slot = np.asarray(index_from_uniform(uniforms[:, 1], _BELL_WEIGHTS))
         accepted = slot == _SINGLET_INDEX
         bloch = np.where(teleported[:, None], _BRANCH_SIGNS[slot] * beam[None, :], background[None, :])
-        axis_index = event_ids % n_axes
+        axis_index = np.arange(start, stop) % len(axes)
         p_up = np.clip(0.5 * (1.0 + np.einsum("ij,ij->i", bloch, axes[axis_index])), 0.0, 1.0)
         spin = np.where(uniforms[:, 2] < p_up, 1, -1)
+        yield start, accepted, axis_index, spin
 
-        acc_axis = axis_index[accepted]
-        acc_spin = spin[accepted]
-        plus_counts += np.bincount(acc_axis[acc_spin > 0], minlength=n_axes)
-        minus_counts += np.bincount(acc_axis[acc_spin < 0], minlength=n_axes)
-        records.extend(
-            EventRecord(int(i), bool(a), int(ax), int(s))
-            for i, a, ax, s in zip(event_ids, accepted, axis_index, spin)
-        )
 
-    estimates = [
-        PolarimetryEstimate.from_counts(axes[i], int(plus_counts[i]), int(minus_counts[i]))
-        for i in range(n_axes)
-    ]
-    return records, estimates
+def simulate(config: ExperimentConfig, *, chunk_size: int = _DEFAULT_CHUNK) -> list[PolarimetryEstimate]:
+    """Per-axis polarization estimates from the accepted events' n+ and n-.
+
+    The counts are summed chunk by chunk; no per-event data is kept.
+    """
+    n_axes = len(config.analyzer_axes)
+    counts = np.zeros(2 * n_axes, dtype=np.int64)  # n+ of each axis, then n-
+    for _, accepted, axis_index, spin in _event_columns(config, chunk_size):
+        counts += np.bincount(axis_index[accepted] + n_axes * (spin[accepted] < 0), minlength=2 * n_axes)
+    n_plus, n_minus = counts.reshape(2, n_axes).tolist()
+    return [PolarimetryEstimate.from_counts(*counted) for counted in zip(config.analyzer_axes, n_plus, n_minus)]
+
+
+def event_records(config: ExperimentConfig, *, chunk_size: int = _DEFAULT_CHUNK) -> Iterator[EventRecord]:
+    """The events ``simulate`` counts, drawn again, as ``EventRecord``s built chunk by chunk."""
+    for first_id, accepted, axis_index, spin in _event_columns(config, chunk_size):
+        columns = zip(accepted.tolist(), axis_index.tolist(), spin.tolist())
+        for event_id, (is_accepted, axis, outcome) in enumerate(columns, first_id):
+            yield EventRecord(event_id, is_accepted, axis, outcome)
 
 
 def acceptance_fraction(records: Iterable[EventRecord]) -> float:

@@ -20,6 +20,7 @@ function; everything here can be shared freely across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -167,6 +168,8 @@ class BlochVector:
     def __post_init__(self) -> None:
         for name in ("px", "py", "pz"):
             object.__setattr__(self, name, float(getattr(self, name)))
+        if not all(map(math.isfinite, (self.px, self.py, self.pz))):
+            raise InvariantError(f"Bloch vector ({self.px}, {self.py}, {self.pz}) is not finite")
         if not self.px**2 + self.py**2 + self.pz**2 <= 1.0 + 1e-10:
             raise InvariantError(f"Bloch vector ({self.px}, {self.py}, {self.pz}) has norm > 1")
 

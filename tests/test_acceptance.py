@@ -24,6 +24,7 @@ from spinport.reaction import (
     TargetSpec,
     acceptance_fraction,
     correlation_table,
+    event_records,
     predict,
     simulate,
     target_moments,
@@ -150,7 +151,7 @@ def test_criterion_5_enhancement_prediction_and_sampling():
         problems.append(f"conventional prediction {prediction.conventional_bloch} != (0, -0.1, 0)")
     if abs(prediction.enhancement - 9.64) > 1e-10:
         problems.append(f"enhancement {prediction.enhancement} != 9.64")
-    _, estimates = simulate(config)
+    estimates = simulate(config)
     estimate = estimates[0]
     four_sigma = 4.0 * np.sqrt((1.0 - 0.964**2) / estimate.n_events)
     if abs(estimate.p_hat - (-0.964)) > four_sigma:
@@ -164,7 +165,7 @@ def test_criterion_6_selection_statistics():
     started = time.perf_counter()
     problems = []
     config = ExperimentConfig(beam_direction=Y_AXIS, epsilon=0.0, events=100_000, seed=60_606)
-    records, _ = simulate(config)
+    records = list(event_records(config))
     fraction = acceptance_fraction(records)
     four_sigma = 4.0 * np.sqrt(0.25 * 0.75 / config.events)
     if abs(fraction - 0.25) > four_sigma:
@@ -191,8 +192,9 @@ def test_criterion_8_determinism(tmp_path):
     elif out_a.read_bytes() != out_b.read_bytes():
         problems.append("repeated runs are not byte-identical")
     config = ExperimentConfig(events=20_000, seed=7)
-    records_whole, estimates_whole = simulate(config)
-    records_split, estimates_split = simulate(config, chunk_size=977)
+    records_whole, estimates_whole = list(event_records(config)), simulate(config)
+    records_split = list(event_records(config, chunk_size=977))
+    estimates_split = simulate(config, chunk_size=977)
     if records_whole != records_split:
         problems.append("event records depend on the partition size")
     if any(

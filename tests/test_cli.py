@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,6 +218,28 @@ class TestSimulateCommand:
         assert len(estimates) == 3
         assert len(events) == 50
         assert all(event["spin_outcome"] in (-1, 1) for event in events)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB, as Linux reports it")
+class TestSimulateMemory:
+    # The command streams: peak RSS follows the chunk size, not --events.
+    # Holding one object or one output line per event would add ~150 to
+    # ~700 bytes per event, i.e. 30 to 140 MB between the two sizes below.
+    @staticmethod
+    def peak_rss_mb(events: int, fmt: str) -> float:
+        src = Path(cli.__file__).resolve().parents[1]
+        argv = [sys.executable, "-m", "spinport.cli", "simulate", "--seed", "7", "--events", str(events),
+                "--format", fmt, "--out", os.devnull]
+        proc = subprocess.Popen(argv, env={**os.environ, "PYTHONPATH": str(src)})
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+        assert proc.returncode == 0
+        return usage.ru_maxrss / 1024
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_peak_rss_does_not_grow_with_events(self, fmt):
+        small, large = self.peak_rss_mb(100_000, fmt), self.peak_rss_mb(300_000, fmt)
+        assert large - small < 20.0, f"peak RSS {small:.1f} MB -> {large:.1f} MB"
 
 
 class TestScanCommand:

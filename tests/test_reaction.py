@@ -17,6 +17,7 @@ from spinport.reaction import (
     acceptance_fraction,
     channel_purity,
     correlation_table,
+    event_records,
     predict,
     simulate,
     target_moments,
@@ -187,7 +188,8 @@ class TestCorrelationTable:
 class TestSimulate:
     def test_x_beam_measured_along_x_is_exactly_flipped(self):
         c = config(beam_direction=X, epsilon=0.0, events=20_000, seed=5, analyzer_axes=(X,))
-        records, estimates = simulate(c)
+        estimates = simulate(c)
+        records = list(event_records(c))
         assert estimates[0].p_hat == -1.0
         accepted = [r for r in records if r.accepted]
         assert accepted and all(r.spin_outcome == -1 for r in accepted)
@@ -201,15 +203,15 @@ class TestSimulate:
             seed=9,
             analyzer_axes=(Z,),
         )
-        _, estimates = simulate(c)
+        estimates = simulate(c)
         estimate = estimates[0]
         four_sigma = 4.0 * np.sqrt((1.0 - 0.25) / estimate.n_events)
         assert abs(estimate.p_hat - 0.5) <= four_sigma
 
     def test_fixed_seed_is_bit_reproducible(self):
         c = config(events=5000, seed=77)
-        records_a, estimates_a = simulate(c)
-        records_b, estimates_b = simulate(c)
+        records_a, estimates_a = list(event_records(c)), simulate(c)
+        records_b, estimates_b = list(event_records(c)), simulate(c)
         assert records_a == records_b
         for a, b in zip(estimates_a, estimates_b):
             assert (a.p_hat, a.sigma, a.n_events) == (b.p_hat, b.sigma, b.n_events)
@@ -218,16 +220,34 @@ class TestSimulate:
         # every event owns one counter block, so chunking is invisible;
         # chunk_size=1 is the fully split schedule
         c = config(events=2000, seed=42)
-        baseline = simulate(c)
+        baseline = list(event_records(c)), simulate(c)
         for chunk_size in (1, 7, 333, 100_000):
-            records, estimates = simulate(c, chunk_size=chunk_size)
+            records = list(event_records(c, chunk_size=chunk_size))
+            estimates = simulate(c, chunk_size=chunk_size)
             assert records == baseline[0]
             for a, b in zip(estimates, baseline[1]):
                 assert (a.p_hat, a.sigma, a.n_events) == (b.p_hat, b.sigma, b.n_events)
 
+    @pytest.mark.parametrize("chunk_size", [1, 977, reaction._DEFAULT_CHUNK])
+    def test_event_records_agree_with_estimates(self, chunk_size):
+        # simulate counts the stream and event_records draws it again: the
+        # per-axis n+/n- of the accepted records are the estimates' counts
+        c = config(events=3000, seed=31, analyzer_axes=(X, Y, Z))
+        counts = np.zeros((3, 2), dtype=int)
+        accepted = 0
+        for r in event_records(c, chunk_size=chunk_size):
+            if r.accepted:
+                counts[r.axis_index, int(r.spin_outcome < 0)] += 1
+                accepted += 1
+        estimates = simulate(c, chunk_size=chunk_size)
+        for (n_plus, n_minus), estimate in zip(counts, estimates):
+            n = n_plus + n_minus
+            assert (estimate.n_events, estimate.p_hat) == (n, (n_plus - n_minus) / n)
+        assert sum(estimate.n_events for estimate in estimates) == accepted
+
     def test_round_robin_axis_assignment(self):
         c = config(events=9, seed=1, analyzer_axes=(X, Y, Z))
-        records, _ = simulate(c)
+        records = list(event_records(c))
         assert [r.axis_index for r in records] == [0, 1, 2] * 3
 
     def test_estimates_match_analytic_prediction(self):
@@ -243,7 +263,7 @@ class TestSimulate:
                 seed=1000 + trial,
             )
             prediction = predict(c)
-            _, estimates = simulate(c)
+            estimates = simulate(c)
             for estimate in estimates:
                 expected = float(prediction.qt_bloch.as_array() @ estimate.axis)
                 four_sigma = 4.0 * np.sqrt((1.0 - expected**2) / estimate.n_events)
@@ -256,7 +276,7 @@ class TestSimulate:
     def test_undefined_estimate_when_an_axis_sees_no_events(self):
         # two axes but a single event: the second axis gets nothing
         c = config(events=1, seed=3, analyzer_axes=(X, Y))
-        _, estimates = simulate(c)
+        estimates = simulate(c)
         assert estimates[1].n_events == 0
         assert not estimates[1].defined
         assert np.isnan(estimates[1].p_hat)
@@ -270,17 +290,15 @@ class TestSimulate:
 class TestAcceptance:
     def test_quarter_acceptance_for_pure_channel(self):
         c = config(epsilon=0.0, events=100_000, seed=11)
-        records, _ = simulate(c)
         four_sigma = 4.0 * np.sqrt(0.25 * 0.75 / c.events)
-        assert abs(acceptance_fraction(records) - 0.25) <= four_sigma
+        assert abs(acceptance_fraction(event_records(c)) - 0.25) <= four_sigma
 
     def test_selection_cut_is_channel_blind(self):
         # the energy cut models the same 1/4 efficiency on background, so a
         # fully contaminated run still accepts a quarter of the events
         c = config(epsilon=1.0, events=100_000, seed=12)
-        records, _ = simulate(c)
         four_sigma = 4.0 * np.sqrt(0.25 * 0.75 / c.events)
-        assert abs(acceptance_fraction(records) - 0.25) <= four_sigma
+        assert abs(acceptance_fraction(event_records(c)) - 0.25) <= four_sigma
 
     def test_empty_record_list(self):
         with pytest.raises(ValueError):

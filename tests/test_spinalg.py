@@ -385,3 +385,7 @@ class TestStateInvariants:
     def test_bloch_vector_rejects_non_finite(self, bad):
         with pytest.raises(InvariantError):
             BlochVector(bad, 0.0, 0.0)
+
+    def test_bloch_vector_names_a_nan_as_not_finite(self):
+        with pytest.raises(InvariantError, match="is not finite"):
+            BlochVector(0.0, np.nan, 0.0)
