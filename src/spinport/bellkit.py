@@ -58,6 +58,13 @@ _BELL_AMPLITUDES = {
     BellLabel.PHI_MINUS: np.array([_SQRT_HALF, 0, 0, -_SQRT_HALF], dtype=complex),
 }
 
+#: Conjugated Bell amplitudes in ``BELL_ORDER``, stacked as 1x4 rows: one product
+#: projects onto all four outcomes, each by its own vector-matrix product (a 4x4
+#: matrix product rounds differently in the last bit for general states).
+_BELL_ROWS = np.array([[_BELL_AMPLITUDES[label].conj()] for label in BELL_ORDER])
+_BELL_ROWS.setflags(write=False)
+_BELL_INDEX = {label: row for row, label in enumerate(BELL_ORDER)}
+
 
 def bell_states() -> dict[BellLabel, Ket]:
     """The four Bell states as dim-4 kets, pairwise orthonormal."""
@@ -94,9 +101,6 @@ class BellDecomposition:
         if abs(total - 1.0) > ATOL_ALGEBRA:
             raise NormalizationError(f"Bell branch probabilities sum to {total}, not 1 within 1e-12")
 
-    def coefficient(self, label: BellLabel) -> complex:
-        return self.branches[label].coefficient
-
     def conditional(self, label: BellLabel) -> Ket:
         return self.branches[label].conditional
 
@@ -121,24 +125,24 @@ def _split_branch(projected: np.ndarray) -> BellBranch:
     if nrm <= ZERO_NORM:
         return BellBranch(coefficient=0j, conditional=Ket([1, 0]), defined=False)
     # first amplitude that is not numerical dust fixes the phase convention
-    lead = projected[np.abs(projected) > 1e-12 * nrm][0]
+    lead = projected[0] if abs(projected[0]) > 1e-12 * nrm else projected[1]
     coefficient = complex(lead / abs(lead) * nrm)
     return BellBranch(coefficient=coefficient, conditional=Ket(projected / coefficient))
 
 
-def decompose_12(psi: Ket) -> BellDecomposition:
-    """Bell decomposition of a normalized three-particle ket over particles (1, 2)."""
+def _project_12(psi: Ket) -> np.ndarray:
+    """Unnormalized particle-3 amplitudes of each Bell outcome, one row per label in ``BELL_ORDER``."""
     if psi.dim != 8:
         raise DimensionError(f"decompose_12 needs a three-particle ket (dim 8), got dim {psi.dim}")
     if not psi.is_normalized:
         raise NormalizationError("decompose_12 requires a normalized input")
-    # rows: joint (particle 1, particle 2) index, columns: particle 3
-    pair_by_third = psi.amplitudes.reshape(4, 2)
-    branches = {
-        label: _split_branch(_BELL_AMPLITUDES[label].conj() @ pair_by_third)
-        for label in BELL_ORDER
-    }
-    return BellDecomposition(branches)
+    # rows of the reshape: joint (particle 1, particle 2) index, columns: particle 3
+    return (_BELL_ROWS @ psi.amplitudes.reshape(4, 2))[:, 0]
+
+
+def decompose_12(psi: Ket) -> BellDecomposition:
+    """Bell decomposition of a normalized three-particle ket over particles (1, 2)."""
+    return BellDecomposition(dict(zip(BELL_ORDER, map(_split_branch, _project_12(psi)))))
 
 
 def outcome_probability(psi: Ket, b: BellLabel) -> float:
@@ -148,7 +152,12 @@ def outcome_probability(psi: Ket, b: BellLabel) -> float:
 
 def project_bell(psi: Ket, b: BellLabel) -> tuple[float, Ket]:
     """Probability of outcome ``b`` and the normalized post-measurement particle-3 state."""
-    branch = decompose_12(psi).branches[b]
+    projected = _project_12(psi)
+    # decompose_12's sum-to-1 check, without splitting the three other branches
+    total = float(np.vdot(projected, projected).real)
+    if not abs(total - 1.0) <= ATOL_ALGEBRA:
+        raise NormalizationError(f"Bell branch probabilities sum to {total}, not 1 within 1e-12")
+    branch = _split_branch(projected[_BELL_INDEX[b]])
     if branch.probability < 1e-14:
         raise ZeroProbabilityError(f"outcome {b.value} has zero probability; conditional undefined")
     return branch.probability, branch.conditional

@@ -323,8 +323,10 @@ def event_records(config: ExperimentConfig, *, chunk_size: int = _DEFAULT_CHUNK)
 
 
 def acceptance_fraction(records: Iterable[EventRecord]) -> float:
-    """Fraction of events passing the selection cut."""
-    records = list(records)
-    if not records:
+    """Fraction of events passing the selection cut, counted in one pass without keeping the records."""
+    accepted = total = 0
+    for total, record in enumerate(records, 1):
+        accepted += record.accepted
+    if not total:
         raise ValueError("acceptance fraction of an empty record list is undefined")
-    return sum(r.accepted for r in records) / len(records)
+    return accepted / total

@@ -88,7 +88,7 @@ class Ket:
 
     @property
     def is_normalized(self) -> bool:
-        return abs(float(np.sum(np.abs(self.amplitudes) ** 2)) - 1.0) <= ATOL_ALGEBRA
+        return abs(float(np.vdot(self.amplitudes, self.amplitudes).real) - 1.0) <= ATOL_ALGEBRA
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Ket({np.array2string(self.amplitudes, precision=6, suppress_small=True)})"
@@ -117,10 +117,6 @@ class Operator:
     def is_unitary(self) -> bool:
         eye = np.eye(self.dim)
         return bool(np.allclose(self.entries.conj().T @ self.entries, eye, atol=ATOL_ALGEBRA, rtol=0.0))
-
-    @property
-    def is_hermitian(self) -> bool:
-        return bool(np.allclose(self.entries, self.entries.conj().T, atol=ATOL_ALGEBRA, rtol=0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,7 +211,7 @@ def tensor(a: Ket, b: Ket) -> Ket:
     """Tensor product with ``a`` as the more significant factor."""
     if a.dim * b.dim > 8:
         raise DimensionError(f"tensor product dimension {a.dim * b.dim} exceeds 8 (three particles)")
-    return Ket(np.kron(a.amplitudes, b.amplitudes))
+    return Ket((a.amplitudes[:, None] * b.amplitudes).reshape(-1))
 
 
 def inner(a: Ket, b: Ket) -> complex:
@@ -235,6 +231,8 @@ def apply(u: Operator, k: Ket) -> Ket:
 def normalize(k: Ket) -> Ket:
     """Rescale ``k`` to unit norm, preserving its direction and phase."""
     n = k.norm()
+    if not math.isfinite(n):
+        raise SpinAlgebraError(f"cannot normalize a state that is not finite, norm is {n}")
     if n <= ZERO_NORM:
         raise ZeroStateError("cannot normalize a numerically zero state (orthogonal projection outcome)")
     return Ket(k.amplitudes / n)
@@ -274,8 +272,10 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
 def rotation(axis: Iterable[float], angle: float) -> Operator:
     """Spin rotation exp(-i*angle*(axis.sigma)/2) about a unit 3-vector axis."""
     n = unit_vector(axis, "rotation axis")
-    n_sigma = n[0] * _PAULI["x"] + n[1] * _PAULI["y"] + n[2] * _PAULI["z"]
     half = 0.5 * float(angle)
+    if not math.isfinite(half):
+        raise SpinAlgebraError(f"rotation angle must be finite, angle = {angle}")
+    n_sigma = n[0] * _PAULI["x"] + n[1] * _PAULI["y"] + n[2] * _PAULI["z"]
     return Operator(np.cos(half) * np.eye(2) - 1j * np.sin(half) * n_sigma)
 
 

@@ -106,9 +106,12 @@ class TeleportResult:
                 raise SpinAlgebraError(f"fidelity {value} outside [0, 1]")
 
 
+_DEUTERON = bellkit.bell_states()[BellLabel.PSI_PLUS]
+
+
 def prepare_deuteron() -> Ket:
-    """Channel pair state psi+ = (|01> + |10>)/sqrt(2) on particles (2, 3)."""
-    return bellkit.bell_states()[BellLabel.PSI_PLUS]
+    """Channel pair state psi+ = (|01> + |10>)/sqrt(2) on particles (2, 3), one shared immutable ``Ket``."""
+    return _DEUTERON
 
 
 def prepare_beam(s: BeamState) -> Ket:
@@ -177,12 +180,10 @@ def run_sampled(s: BeamState, policy: CorrectionPolicy, seed: int) -> TeleportRe
     outcome = BELL_ORDER[int(index_from_uniform(rng.random(), probs))]
     branch = decomposition.branches[outcome]
     neutron_pre = branch.conditional
+    neutron_post = fidelity_post = None
     if outcome is BellLabel.PSI_MINUS:
         neutron_post = spinalg.apply(policy.operator, neutron_pre)
         fidelity_post = fidelity(beam, neutron_post)
-    else:
-        neutron_post = None
-        fidelity_post = None
     return TeleportResult(
         outcome=outcome,
         probability=branch.probability,

@@ -1,9 +1,20 @@
-"""Shared random-state generators for the test suite."""
+"""Shared random-state generators and oracles for the test suite."""
 
 import numpy as np
 
+from spinport.bellkit import BELL_ORDER, BellLabel
 from spinport.spinalg import Ket
 from spinport.teleport import BeamState
+
+SQRT_HALF = 1.0 / np.sqrt(2.0)
+
+# independent constructions of the four Bell states, used as oracles
+BELL_ARRAYS = {
+    BellLabel.PSI_PLUS: np.array([0, SQRT_HALF, SQRT_HALF, 0], dtype=complex),
+    BellLabel.PSI_MINUS: np.array([0, SQRT_HALF, -SQRT_HALF, 0], dtype=complex),
+    BellLabel.PHI_PLUS: np.array([SQRT_HALF, 0, 0, SQRT_HALF], dtype=complex),
+    BellLabel.PHI_MINUS: np.array([SQRT_HALF, 0, 0, -SQRT_HALF], dtype=complex),
+}
 
 
 def random_ket(rng: np.random.Generator, dim: int) -> Ket:
@@ -20,3 +31,24 @@ def random_beam(rng: np.random.Generator) -> BeamState:
     v = rng.normal(size=2) + 1j * rng.normal(size=2)
     v = v / np.linalg.norm(v)
     return BeamState(v[0], v[1])
+
+
+def oracle_decomposition(amplitudes: np.ndarray) -> dict:
+    """(probability, conditional amplitudes) of each Bell outcome of a dim-8 state.
+
+    The Bell decomposition as first written, kept as a bit-for-bit oracle:
+    one vector product per Bell state and the lead amplitude picked by a
+    boolean mask. A vanishing branch gets probability 0 and conditional |0>.
+    """
+    pair_by_third = np.asarray(amplitudes, dtype=complex).reshape(4, 2)
+    branches = {}
+    for label in BELL_ORDER:
+        projected = BELL_ARRAYS[label].conj() @ pair_by_third
+        nrm = float(np.linalg.norm(projected))
+        if nrm <= 1e-14:
+            branches[label] = (0.0, np.array([1, 0], dtype=complex))
+            continue
+        lead = projected[np.abs(projected) > 1e-12 * nrm][0]
+        coefficient = complex(lead / abs(lead) * nrm)
+        branches[label] = (abs(coefficient) ** 2, projected / coefficient)
+    return branches

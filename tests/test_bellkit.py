@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_beam, random_ket
+from helpers import BELL_ARRAYS, SQRT_HALF, oracle_decomposition, random_beam, random_ket
 from spinport.bellkit import (
     BELL_ORDER,
     BellLabel,
@@ -24,16 +24,6 @@ from spinport.spinalg import (
     partial_trace,
     tensor,
 )
-
-SQRT_HALF = 1.0 / np.sqrt(2.0)
-
-# independent constructions of the four states, used as oracles below
-BELL_ARRAYS = {
-    BellLabel.PSI_PLUS: np.array([0, SQRT_HALF, SQRT_HALF, 0], dtype=complex),
-    BellLabel.PSI_MINUS: np.array([0, SQRT_HALF, -SQRT_HALF, 0], dtype=complex),
-    BellLabel.PHI_PLUS: np.array([SQRT_HALF, 0, 0, SQRT_HALF], dtype=complex),
-    BellLabel.PHI_MINUS: np.array([SQRT_HALF, 0, 0, -SQRT_HALF], dtype=complex),
-}
 
 # particle-3 conditional of each branch for input amplitudes (a, b)
 CONDITIONAL_FORMS = {
@@ -156,6 +146,15 @@ class TestDecompose:
                 assert lead.real > 0
                 assert abs(lead.imag) < 1e-12 * abs(lead)
 
+    def test_matches_the_oracle_decomposition_bit_for_bit(self):
+        rng = np.random.default_rng(41)
+        for _ in range(2000):
+            psi = random_ket(rng, 8)
+            branches = decompose_12(psi).branches
+            for label, (probability, conditional) in oracle_decomposition(psi.amplitudes).items():
+                assert branches[label].probability == probability
+                assert branches[label].conditional.amplitudes.tobytes() == conditional.tobytes()
+
     def test_vanishing_branches_are_flagged(self):
         psi = tensor(Ket(BELL_ARRAYS[BellLabel.PSI_PLUS]), Ket([1, 0]))
         decomposition = decompose_12(psi)
@@ -198,6 +197,30 @@ class TestProjectBell:
         psi = tensor(Ket(BELL_ARRAYS[BellLabel.PSI_PLUS]), Ket([1, 0]))
         with pytest.raises(ZeroProbabilityError):
             project_bell(psi, BellLabel.PHI_MINUS)
+
+    def test_equals_the_decomposition_branch_bit_for_bit(self):
+        rng = np.random.default_rng(37)
+        states = [random_ket(rng, 8) for _ in range(50)] + [protocol_input(1, 0), protocol_input(0, 1)]
+        for psi in states:
+            branches = decompose_12(psi).branches
+            for label in BELL_ORDER:
+                if not branches[label].defined:
+                    continue
+                probability, conditional = project_bell(psi, label)
+                assert probability == branches[label].probability
+                assert conditional.amplitudes.tobytes() == branches[label].conditional.amplitudes.tobytes()
+
+    def test_input_validation(self):
+        with pytest.raises(DimensionError):
+            project_bell(Ket([1, 0]), BellLabel.PSI_MINUS)
+        with pytest.raises(NormalizationError):
+            project_bell(Ket([1, 0, 0, 0, 0, 0, 0, 1]), BellLabel.PSI_MINUS)
+        with pytest.raises(NormalizationError):
+            project_bell(Ket([np.nan, 0, 0, 0, 0, 0, 0, 0]), BellLabel.PSI_MINUS)
+        psi = tensor(Ket(BELL_ARRAYS[BellLabel.PHI_MINUS]), Ket([0, 1]))
+        for label in (BellLabel.PSI_PLUS, BellLabel.PSI_MINUS, BellLabel.PHI_PLUS):
+            with pytest.raises(ZeroProbabilityError):
+                project_bell(psi, label)
 
     def test_agrees_with_projector_route(self):
         # oracle: apply the singlet projector, renormalize, trace out the pair

@@ -87,6 +87,17 @@ class TestTeleportCommand:
         assert manifest["beam"] == "y"
         assert manifest["correction"] == "sigma_z"
 
+    def test_golden_digest(self, tmp_path):
+        # Pins the exact protocol bytes: any change to the projection, the
+        # correction or the formatting of `spinport teleport` shows here.
+        digest = hashlib.sha256()
+        for beam in ("x", "-x", "y", "z", "30,40", "120,-75", "90,45"):
+            for policy in ("none", "sigma_z", "ry_pi"):
+                out = tmp_path / f"{beam}-{policy}"
+                assert cli.main(["teleport", f"--beam={beam}", f"--correction={policy}", "--out", str(out)]) == 0
+                digest.update(out.read_bytes())
+        assert digest.hexdigest() == "e7898c798b4d53009be0a3fa846e1e15b80c3bf695c28eaca083aa81c41b2a57"
+
 
 class TestPredictCommand:
     def test_reference_numbers(self, capsys):
@@ -253,6 +264,15 @@ class TestScanCommand:
         assert float(by_key[("y", "ry_pi")]["fidelity_post"]) == pytest.approx(0.0, abs=1e-12)
         assert float(by_key[("z", "sigma_z")]["fidelity_post"]) == pytest.approx(1.0, abs=1e-12)
         assert all(float(row["probability"]) == pytest.approx(0.25, abs=1e-12) for row in rows)
+
+    @pytest.mark.parametrize(
+        "fmt, digest",
+        [("csv", "4b88d812c2e947193dc10779b3d41dae9df96af175a9aa2022fac2b2525266e5"), ("jsonl", "a6affba4865545c75e1946f77844fe581415e79a0e06682f0d01585b9c7d5b9d")],
+    )
+    def test_golden_digest(self, tmp_path, fmt, digest):
+        out = tmp_path / "scan"
+        assert cli.main(["scan", "--format", fmt, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_manifest_holds_no_config(self, capsys):
         _, out = run(capsys, "scan")

@@ -30,6 +30,7 @@ from spinport.spinalg import (
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 PSI_PLUS = np.array([0.0, SQRT_HALF, SQRT_HALF, 0.0], dtype=complex)
+NON_FINITE = (np.nan, np.inf, -np.inf)
 
 
 def ptrace_oracle(rho: np.ndarray, n: int, keep: list[int]) -> np.ndarray:
@@ -164,6 +165,11 @@ class TestNormalize:
         with pytest.raises(ZeroStateError):
             normalize(Ket([0, 0]))
 
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_rejects_a_non_finite_state(self, bad):
+        with pytest.raises(SpinAlgebraError, match="not finite"):
+            normalize(Ket([bad, 0]))
+
 
 class TestDensityFrom:
     def test_projector_on_up(self):
@@ -240,9 +246,6 @@ class TestPauli:
     def test_unknown_axis(self):
         with pytest.raises(SpinAlgebraError):
             pauli("w")
-
-
-NON_FINITE = (np.nan, np.inf, -np.inf)
 
 
 class TestUnitVector:
@@ -323,6 +326,11 @@ class TestRotation:
     def test_non_unit_axis(self):
         with pytest.raises(SpinAlgebraError):
             rotation((0, 2, 0), np.pi)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_rejects_a_non_finite_angle(self, bad):
+        with pytest.raises(SpinAlgebraError, match="angle"):
+            rotation((0, 0, 1), bad)
 
 
 class TestBlochFrom:

@@ -1,9 +1,11 @@
 """Tests for the teleportation protocol layer."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from helpers import random_beam
+from helpers import BELL_ARRAYS, oracle_decomposition, random_beam
 from spinport.bellkit import BELL_ORDER, BellLabel, decompose_12
 from spinport.spinalg import (
     Ket,
@@ -53,6 +55,15 @@ class TestPreparation:
         for particle in (1, 2):
             marginal = bloch_from(partial_trace(rho, keep=[particle]))
             assert np.allclose(marginal.as_array(), [0, 0, 0], atol=1e-12)
+
+    def test_deuteron_is_one_shared_read_only_ket(self):
+        deuteron = prepare_deuteron()
+        assert prepare_deuteron() is deuteron
+        assert np.array_equal(deuteron.amplitudes, [0, SQRT_HALF, SQRT_HALF, 0])
+        with pytest.raises(ValueError):
+            deuteron.amplitudes[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            deuteron.amplitudes = np.zeros(4, dtype=complex)
 
     def test_deuteron_orthogonal_to_singlet(self):
         singlet = Ket([0, SQRT_HALF, -SQRT_HALF, 0])
@@ -232,3 +243,54 @@ class TestRunSampled:
         four_sigma = 4.0 * np.sqrt(0.25 * 0.75 / n)
         for label, count in counts.items():
             assert abs(count / n - 0.25) <= four_sigma, (label, count / n)
+
+
+
+# The protocol path as first written, kept as a bit-for-bit oracle: the
+# product state from np.kron and all four branches split by the oracle
+# decomposition, even when only psi- is kept.
+def oracle_branches(s: BeamState) -> tuple[np.ndarray, dict]:
+    """Beam amplitudes and (probability, conditional amplitudes) of each Bell outcome."""
+    beam = np.array([s.a, s.b], dtype=complex)
+    return beam, oracle_decomposition(np.kron(beam, BELL_ARRAYS[BellLabel.PSI_PLUS]))
+
+
+def oracle_fidelity(x: np.ndarray, y: np.ndarray) -> float:
+    return min(1.0, abs(complex(np.vdot(x, y))) ** 2)
+
+
+def oracle_beams() -> list[BeamState]:
+    rng = np.random.default_rng(2003)
+    return list(AXIS_BEAMS.values()) + [random_beam(rng) for _ in range(200)]
+
+
+class TestBitIdentityWithOraclePath:
+    def test_run_postselected(self):
+        for s in oracle_beams():
+            beam, branches = oracle_branches(s)
+            probability, pre = branches[BellLabel.PSI_MINUS]
+            for policy in POLICIES.values():
+                result = run_postselected(s, policy)
+                post = policy.operator.entries @ pre
+                assert result.probability == probability
+                assert result.neutron_pre.amplitudes.tobytes() == pre.tobytes()
+                assert result.neutron_post.amplitudes.tobytes() == post.tobytes()
+                assert result.fidelity_pre == oracle_fidelity(beam, pre)
+                assert result.fidelity_post == oracle_fidelity(beam, post)
+
+    def test_run_sampled(self):
+        for seed, s in enumerate(oracle_beams()):
+            beam, branches = oracle_branches(s)
+            probs = [branches[label][0] for label in BELL_ORDER]
+            u = np.random.Generator(np.random.Philox(key=seed)).random()
+            outcome = BELL_ORDER[min(int(np.searchsorted(np.cumsum(probs), u, side="right")), 3)]
+            probability, pre = branches[outcome]
+            result = run_sampled(s, SIGMA_Z, seed)
+            assert result.outcome is outcome
+            assert result.probability == probability
+            assert result.neutron_pre.amplitudes.tobytes() == pre.tobytes()
+            assert result.fidelity_pre == oracle_fidelity(beam, pre)
+            if outcome is BellLabel.PSI_MINUS:
+                post = SIGMA_Z.operator.entries @ pre
+                assert result.neutron_post.amplitudes.tobytes() == post.tobytes()
+                assert result.fidelity_post == oracle_fidelity(beam, post)
