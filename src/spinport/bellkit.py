@@ -98,7 +98,7 @@ class BellDecomposition:
         if set(self.branches) != set(BellLabel):
             raise SpinAlgebraError("decomposition must carry exactly one branch per Bell label")
         total = sum(branch.probability for branch in self.branches.values())
-        if abs(total - 1.0) > ATOL_ALGEBRA:
+        if not abs(total - 1.0) <= ATOL_ALGEBRA:
             raise NormalizationError(f"Bell branch probabilities sum to {total}, not 1 within 1e-12")
 
     def conditional(self, label: BellLabel) -> Ket:

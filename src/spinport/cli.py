@@ -24,19 +24,6 @@ from .reaction import AXIS_VECTORS, ExperimentConfig, TargetSpec
 from .spinalg import InvariantError, SpinAlgebraError, bloch_from, density_from
 from .teleport import POLICIES, BeamState, CorrectionPolicy
 
-_CONFIG_KEYS = (
-    "beam_direction",
-    "beam_magnitude",
-    "epsilon",
-    "k_transfer",
-    "target",
-    "events",
-    "seed",
-    "beam_energy_mev",
-    "analyzer_axes",
-)
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on bad usage; this tool reserves 2 for numerical
     # invariant violations, so usage errors are remapped to 1.
@@ -88,19 +75,11 @@ def _parse_vector3(text: str, what: str) -> np.ndarray:
     return np.array([float(p) for p in parts])
 
 
-def _parse_direction_value(text: str) -> np.ndarray:
+def _parse_axis_or_vector(text: str, what: str) -> np.ndarray:
     vector = _parse_axis_name(text)
     if vector is not None:
         return vector
-    return _parse_vector3(text, "beam_direction")
-
-
-def _parse_axes_value(text: str) -> tuple[np.ndarray, ...]:
-    axes = []
-    for token in text.split(";"):
-        vector = _parse_axis_name(token)
-        axes.append(vector if vector is not None else _parse_vector3(token, "analyzer axis"))
-    return tuple(axes)
+    return _parse_vector3(text, what)
 
 
 def _parse_axes_flag(text: str) -> tuple[np.ndarray, ...]:
@@ -130,6 +109,35 @@ def beam_label(direction: np.ndarray) -> str:
     return f"{_fmt(theta)},{_fmt(phi)}"
 
 
+def _floats(values) -> str:
+    return ",".join(_exact(c) for c in values)
+
+
+#: Every ``ExperimentConfig`` key, in manifest order, with how its config-file
+#: text parses and how its manifest value renders; the rendering parses back.
+_CONFIG_FIELDS = {
+    "beam_direction": (lambda text: _parse_axis_or_vector(text, "beam_direction"), _floats),
+    "beam_magnitude": (float, _exact),
+    "epsilon": (float, _exact),
+    "k_transfer": (float, _exact),
+    "target": (_parse_target_value, lambda t: _floats((t.p_plus, t.p_zero, t.p_minus))),
+    "events": (int, str),
+    "seed": (int, str),
+    "beam_energy_mev": (float, _exact),
+    "analyzer_axes": (
+        lambda text: tuple(_parse_axis_or_vector(token, "analyzer axis") for token in text.split(";")),
+        lambda axes: ";".join(map(_floats, axes)),
+    ),
+}
+
+#: Flags whose grammar differs from the config-file text of their key.
+_FLAG_PARSERS = {
+    "beam_direction": parse_beam_spec,
+    "target": _parse_target_value,
+    "analyzer_axes": _parse_axes_flag,
+}
+
+
 def parse_config_text(text: str) -> dict[str, str]:
     """Flat ``key = value`` lines; ``#`` starts a comment."""
     values: dict[str, str] = {}
@@ -140,51 +148,30 @@ def parse_config_text(text: str) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"config line {lineno} is not 'key = value': {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in _CONFIG_FIELDS:
             raise ValueError(f"unknown config key {key!r} on line {lineno}")
         values[key] = value
     return values
 
 
-_VALUE_PARSERS = {
-    "beam_direction": _parse_direction_value,
-    "beam_magnitude": float,
-    "epsilon": float,
-    "k_transfer": float,
-    "target": _parse_target_value,
-    "events": int,
-    "seed": int,
-    "beam_energy_mev": float,
-    "analyzer_axes": _parse_axes_value,
-}
-
-
-def resolve_config(file_values: dict[str, str], overrides: dict[str, object]) -> ExperimentConfig:
-    """Defaults, then config-file values, then flag overrides."""
+def resolve_config(file_values: dict[str, str], flag_values: dict[str, str | None]) -> ExperimentConfig:
+    """Defaults, then config-file values, then flag values (text; None for a flag not given)."""
+    texts = [(key, text, _CONFIG_FIELDS[key][0]) for key, text in file_values.items()]
+    texts += [(key, text, _FLAG_PARSERS.get(key, _CONFIG_FIELDS[key][0]))
+              for key, text in flag_values.items() if text is not None]
     kwargs: dict[str, object] = {}
-    for key, text in file_values.items():
-        kwargs[key] = _VALUE_PARSERS[key](text)
-    for key, value in overrides.items():
-        if value is not None:
-            kwargs[key] = value
+    for key, text, parse in texts:
+        try:
+            kwargs[key] = parse(text)
+        except ValueError as exc:
+            raise ValueError(f"config key {key} = {text!r}: {exc}") from exc
     return ExperimentConfig(**kwargs)
 
 
 def config_items(config: ExperimentConfig) -> list[tuple[str, str]]:
     """Config serialized as (key, value) text pairs; parses back to itself."""
-    items = [
-        ("beam_direction", ",".join(_exact(c) for c in config.beam_direction)),
-        ("beam_magnitude", _exact(config.beam_magnitude)),
-        ("epsilon", _exact(config.epsilon)),
-        ("k_transfer", _exact(config.k_transfer)),
-        ("target", ",".join(_exact(p) for p in (config.target.p_plus, config.target.p_zero, config.target.p_minus))),
-        ("events", str(config.events)),
-    ]
-    if config.seed is not None:
-        items.append(("seed", str(config.seed)))
-    items.append(("beam_energy_mev", _exact(config.beam_energy_mev)))
-    items.append(("analyzer_axes", ";".join(",".join(_exact(c) for c in axis) for axis in config.analyzer_axes)))
-    return items
+    return [(key, render(getattr(config, key))) for key, (_, render) in _CONFIG_FIELDS.items()
+            if getattr(config, key) is not None]
 
 
 def _manifest(subcommand: str, params: list[tuple[str, str]]) -> list[tuple[str, str]]:
@@ -222,31 +209,12 @@ def _emit(args, manifest: list[tuple[str, str]], header: list[str], rows: list[l
         handle.writelines(tail_lines)
 
 
-def _collect_overrides(args) -> dict[str, object]:
-    overrides: dict[str, object] = {
-        "beam_magnitude": args.magnitude,
-        "epsilon": args.epsilon,
-        "k_transfer": args.kyy,
-    }
-    if args.beam is not None:
-        overrides["beam_direction"] = parse_beam_spec(args.beam)
-    if args.target is not None:
-        overrides["target"] = _parse_target_value(args.target)
-    if getattr(args, "events", None) is not None:
-        overrides["events"] = args.events
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "axes", None) is not None:
-        overrides["analyzer_axes"] = _parse_axes_flag(args.axes)
-    return overrides
-
-
 def _load_config(args) -> ExperimentConfig:
     file_values: dict[str, str] = {}
     if args.config:
         with open(args.config) as handle:
             file_values = parse_config_text(handle.read())
-    return resolve_config(file_values, _collect_overrides(args))
+    return resolve_config(file_values, {key: getattr(args, key, None) for key in _CONFIG_FIELDS})
 
 
 def cmd_teleport(args) -> int:
@@ -325,10 +293,11 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--beam", help="beam axis (x|y|z, optional sign; write --beam=-x for negative axes) or 'theta,phi' in degrees")
-    parser.add_argument("--magnitude", type=float, help="beam polarization magnitude in [0, 1]")
-    parser.add_argument("--epsilon", type=float, help="contamination fraction of the selected sample")
-    parser.add_argument("--kyy", type=float, help="conventional y->y' polarization transfer coefficient")
+    parser.add_argument("--beam", dest="beam_direction",
+                        help="beam axis (x|y|z, optional sign; write --beam=-x for negative axes) or 'theta,phi' in degrees")
+    parser.add_argument("--magnitude", dest="beam_magnitude", help="beam polarization magnitude in [0, 1]")
+    parser.add_argument("--epsilon", help="contamination fraction of the selected sample")
+    parser.add_argument("--kyy", dest="k_transfer", help="conventional y->y' polarization transfer coefficient")
     parser.add_argument("--target", help="target sublevel populations p+,p0,p-")
 
 
@@ -352,9 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_simulate = subparsers.add_parser("simulate", help="Monte Carlo event sample and polarimetry estimates")
     _add_config_flags(p_simulate)
-    p_simulate.add_argument("--events", type=int, help="number of events to generate")
-    p_simulate.add_argument("--seed", type=int, help="random seed (required)")
-    p_simulate.add_argument("--axes", help="comma-separated analyzer axis names, e.g. x,y,z")
+    p_simulate.add_argument("--events", help="number of events to generate")
+    p_simulate.add_argument("--seed", help="random seed (required)")
+    p_simulate.add_argument("--axes", dest="analyzer_axes", help="comma-separated analyzer axis names, e.g. x,y,z")
     _add_output_flags(p_simulate)
     p_simulate.set_defaults(func=cmd_simulate)
 

@@ -149,20 +149,28 @@ def index_from_uniform(u, probabilities) -> np.ndarray | int:
     return np.minimum(idx, len(cum) - 1)
 
 
-def run_postselected(s: BeamState, policy: CorrectionPolicy = SIGMA_Z) -> TeleportResult:
-    """Run the protocol keeping only the discriminated psi- outcome."""
-    beam = prepare_beam(s)
-    psi = compose(beam, prepare_deuteron())
-    probability, neutron_pre = bellkit.project_bell(psi, BellLabel.PSI_MINUS)
-    neutron_post = spinalg.apply(policy.operator, neutron_pre)
+def _result(beam: Ket, outcome: BellLabel, probability: float, neutron_pre: Ket,
+            policy: CorrectionPolicy) -> TeleportResult:
+    """Correct only a psi- outcome; the experiment discards the others uncorrected."""
+    neutron_post = fidelity_post = None
+    if outcome is BellLabel.PSI_MINUS:
+        neutron_post = spinalg.apply(policy.operator, neutron_pre)
+        fidelity_post = fidelity(beam, neutron_post)
     return TeleportResult(
-        outcome=BellLabel.PSI_MINUS,
+        outcome=outcome,
         probability=probability,
         neutron_pre=neutron_pre,
         neutron_post=neutron_post,
         fidelity_pre=fidelity(beam, neutron_pre),
-        fidelity_post=fidelity(beam, neutron_post),
+        fidelity_post=fidelity_post,
     )
+
+
+def run_postselected(s: BeamState, policy: CorrectionPolicy = SIGMA_Z) -> TeleportResult:
+    """Run the protocol keeping only the discriminated psi- outcome."""
+    beam = prepare_beam(s)
+    probability, neutron_pre = bellkit.project_bell(compose(beam, prepare_deuteron()), BellLabel.PSI_MINUS)
+    return _result(beam, BellLabel.PSI_MINUS, probability, neutron_pre, policy)
 
 
 def run_sampled(s: BeamState, policy: CorrectionPolicy, seed: int) -> TeleportResult:
@@ -179,16 +187,4 @@ def run_sampled(s: BeamState, policy: CorrectionPolicy, seed: int) -> TeleportRe
     rng = np.random.Generator(np.random.Philox(key=seed))
     outcome = BELL_ORDER[int(index_from_uniform(rng.random(), probs))]
     branch = decomposition.branches[outcome]
-    neutron_pre = branch.conditional
-    neutron_post = fidelity_post = None
-    if outcome is BellLabel.PSI_MINUS:
-        neutron_post = spinalg.apply(policy.operator, neutron_pre)
-        fidelity_post = fidelity(beam, neutron_post)
-    return TeleportResult(
-        outcome=outcome,
-        probability=branch.probability,
-        neutron_pre=neutron_pre,
-        neutron_post=neutron_post,
-        fidelity_pre=fidelity(beam, neutron_pre),
-        fidelity_post=fidelity_post,
-    )
+    return _result(beam, outcome, branch.probability, branch.conditional, policy)

@@ -6,6 +6,8 @@ import pytest
 from helpers import BELL_ARRAYS, SQRT_HALF, oracle_decomposition, random_beam, random_ket
 from spinport.bellkit import (
     BELL_ORDER,
+    BellBranch,
+    BellDecomposition,
     BellLabel,
     ZeroProbabilityError,
     bell_states,
@@ -167,6 +169,11 @@ class TestDecompose:
             decompose_12(Ket([1, 0]))
         with pytest.raises(NormalizationError):
             decompose_12(Ket([1, 0, 0, 0, 0, 0, 0, 1]))
+
+    def test_nan_coefficients_are_rejected(self):
+        # BellDecomposition is public: its own sum check must refuse NaN, not only decompose_12's input check.
+        with pytest.raises(NormalizationError):
+            BellDecomposition({label: BellBranch(complex("nan"), Ket([1, 0])) for label in BellLabel})
 
 
 class TestOutcomeProbability:

@@ -1,5 +1,6 @@
 """Tests for the command-line front end."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -312,6 +313,48 @@ class TestConfigRoundTrip:
         text = "# a comment\n\nepsilon = 0.25  # trailing comment\n"
         values = cli.parse_config_text(text)
         assert values == {"epsilon": "0.25"}
+
+
+class TestConfigSchema:
+    def test_fields_follow_the_config_dataclass_in_order(self):
+        assert list(cli._CONFIG_FIELDS) == [field.name for field in dataclasses.fields(ExperimentConfig)]
+
+    @pytest.mark.parametrize(
+        "flag, key, file_text, flag_text, shown",
+        [
+            ("--beam", "beam_direction", "x", "z", "0.0,0.0,1.0"),
+            ("--magnitude", "beam_magnitude", "0.5", "0.25", "0.25"),
+            ("--epsilon", "epsilon", "0.2", "0.1", "0.1"),
+            ("--kyy", "k_transfer", "-0.3", "0.2", "0.2"),
+            ("--target", "target", "0.1,0.8,0.1", "0.2,0.7,0.1", "0.2,0.7,0.1"),
+            ("--events", "events", "200", "300", "300"),
+            ("--seed", "seed", "11", "4", "4"),
+            ("--axes", "analyzer_axes", "x;0.0,0.6,0.8", "y,z", "0.0,1.0,0.0;0.0,0.0,1.0"),
+        ],
+    )
+    def test_flag_overrides_the_file_value(self, capsys, tmp_path, flag, key, file_text, flag_text, shown):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"events = 200\nseed = 3\n{key} = {file_text}\n")
+        code, out = run(capsys, "simulate", "--config", str(path), f"{flag}={flag_text}")
+        assert code == 0
+        assert manifest_of(out)[key] == shown
+
+    @pytest.mark.parametrize(
+        "key, text",
+        [("events", "1e5"), ("epsilon", "abc"), ("beam_direction", "1,2"), ("analyzer_axes", "x;q")],
+    )
+    def test_config_file_value_errors_name_the_key(self, capsys, tmp_path, key, text):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"{key} = {text}\n")
+        assert cli.main(["predict", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"config key {key} = {text!r}: " in captured.err
+
+    @pytest.mark.parametrize("flag, key", [("--events=1e5", "events"), ("--magnitude=abc", "beam_magnitude")])
+    def test_flag_value_errors_name_the_key(self, capsys, flag, key):
+        assert cli.main(["simulate", "--seed", "1", flag]) == 1
+        assert f"config key {key} = " in capsys.readouterr().err
 
 
 class TestUsageErrors:
