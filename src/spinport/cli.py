@@ -133,14 +133,14 @@ _CONFIG_FIELDS = {
 #: Flags whose grammar differs from the config-file text of their key.
 _FLAG_PARSERS = {
     "beam_direction": parse_beam_spec,
-    "target": _parse_target_value,
     "analyzer_axes": _parse_axes_flag,
 }
 
 
 def parse_config_text(text: str) -> dict[str, str]:
-    """Flat ``key = value`` lines; ``#`` starts a comment."""
+    """Flat ``key = value`` lines, each key at most once; ``#`` starts a comment."""
     values: dict[str, str] = {}
+    key_lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -150,7 +150,9 @@ def parse_config_text(text: str) -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_FIELDS:
             raise ValueError(f"unknown config key {key!r} on line {lineno}")
-        values[key] = value
+        if key in key_lines:
+            raise ValueError(f"config key {key!r} repeated on lines {key_lines[key]} and {lineno}")
+        values[key], key_lines[key] = value, lineno
     return values
 
 

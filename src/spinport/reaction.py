@@ -169,7 +169,7 @@ def predict(config: ExperimentConfig) -> ModelPrediction:
     beam = config.beam_bloch()
     w = channel_purity(config.target) * (1.0 - config.epsilon)
     conventional = np.array([0.0, config.k_transfer * beam[1], 0.0])
-    teleported = w * np.array([-beam[0], -beam[1], beam[2]]) + (1.0 - w) * conventional
+    teleported = w * (_BRANCH_SIGNS[_SINGLET_INDEX] * beam) + (1.0 - w) * conventional
     enhancement = float(np.linalg.norm(teleported)) / max(float(np.linalg.norm(conventional)), ENHANCEMENT_FLOOR)
     return ModelPrediction(
         qt_bloch=BlochVector(*teleported),
@@ -285,6 +285,7 @@ def _event_columns(config: ExperimentConfig, chunk_size: int) -> Iterator[tuple]
     beam = config.beam_bloch()
     p_teleported = channel_purity(config.target) * (1.0 - config.epsilon)
     background = np.array([0.0, config.k_transfer * beam[1], 0.0])
+    branch_blochs = _BRANCH_SIGNS * beam
     axes = np.stack(config.analyzer_axes)
 
     for start in range(0, config.events, chunk_size):
@@ -294,7 +295,8 @@ def _event_columns(config: ExperimentConfig, chunk_size: int) -> Iterator[tuple]
         teleported = uniforms[:, 0] < p_teleported
         slot = np.asarray(index_from_uniform(uniforms[:, 1], _BELL_WEIGHTS))
         accepted = slot == _SINGLET_INDEX
-        bloch = np.where(teleported[:, None], _BRANCH_SIGNS[slot] * beam[None, :], background[None, :])
+        bloch = branch_blochs[slot]
+        bloch[~teleported] = background
         axis_index = np.arange(start, stop) % len(axes)
         p_up = np.clip(0.5 * (1.0 + np.einsum("ij,ij->i", bloch, axes[axis_index])), 0.0, 1.0)
         spin = np.where(uniforms[:, 2] < p_up, 1, -1)

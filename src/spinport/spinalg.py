@@ -10,8 +10,10 @@ Conventions used throughout the package:
 * Global phases are never normalized away silently; phase-insensitive
   comparisons belong to the caller (e.g. ``teleport.fidelity``).
 
-Tolerances: ``ATOL_ALGEBRA`` for plain algebraic identities and
-``ATOL_COMPOSED`` for multi-step checks. Maximum dimension is 8, so dense
+Tolerances: ``ATOL_ALGEBRA`` (1e-12) for one-step identities (norm,
+Hermiticity, trace, unitarity, imaginary parts) and ``ATOL_COMPOSED``
+(1e-10) for multi-step ones (unit vectors, the Bloch ball, the eigenvalue
+floor); non-finite values fail both. Maximum dimension is 8, so dense
 storage and near-machine precision are both comfortable.
 
 Every value is immutable after construction and every operation is a pure
@@ -55,9 +57,17 @@ class InvariantError(SpinAlgebraError):
     """A computed quantity broke a numerical invariant (e.g. Bloch norm > 1)."""
 
 
-def _check_dim(dim: int, context: str) -> None:
-    if dim not in _VALID_DIMS:
-        raise DimensionError(f"{context}: dimension must be one of {_VALID_DIMS}, got {dim}")
+def _store_frozen(instance, field: str, ndim: int) -> np.ndarray:
+    """Replace ``instance.<field>`` by a read-only complex copy: a vector or square matrix of dim 2, 4 or 8."""
+    array = np.array(getattr(instance, field), dtype=complex)
+    if array.ndim != ndim or array.shape[0] != array.shape[-1]:
+        shape = "a 1-d vector" if ndim == 1 else "square"
+        raise DimensionError(f"{type(instance).__name__} {field} must be {shape}, got shape {array.shape}")
+    if array.shape[0] not in _VALID_DIMS:
+        raise DimensionError(f"{type(instance).__name__}: dimension must be one of {_VALID_DIMS}, got {array.shape[0]}")
+    array.setflags(write=False)
+    object.__setattr__(instance, field, array)
+    return array
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,13 +77,7 @@ class Ket:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.ndim != 1:
-            raise DimensionError(f"Ket amplitudes must be a 1-d vector, got shape {amps.shape}")
-        _check_dim(amps.size, "Ket")
-        amps = amps.copy()
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
+        _store_frozen(self, "amplitudes", ndim=1)
 
     @property
     def dim(self) -> int:
@@ -101,13 +105,7 @@ class Operator:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        mat = np.asarray(self.entries, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise DimensionError(f"Operator entries must be square, got shape {mat.shape}")
-        _check_dim(mat.shape[0], "Operator")
-        mat = mat.copy()
-        mat.setflags(write=False)
-        object.__setattr__(self, "entries", mat)
+        _store_frozen(self, "entries", ndim=2)
 
     @property
     def dim(self) -> int:
@@ -123,26 +121,22 @@ class Operator:
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite spin density matrix.
 
-    Validated on construction: Hermitian and unit trace within 1e-12,
-    eigenvalues above -1e-10.
+    Validated on construction: entries finite, Hermitian and unit trace
+    within ``ATOL_ALGEBRA``, eigenvalues above ``-ATOL_COMPOSED``.
     """
 
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        mat = np.asarray(self.entries, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise DimensionError(f"DensityMatrix entries must be square, got shape {mat.shape}")
-        _check_dim(mat.shape[0], "DensityMatrix")
+        mat = _store_frozen(self, "entries", ndim=2)
+        if not np.isfinite(mat).all():
+            raise InvariantError("density matrix entries are not finite")
         if not np.allclose(mat, mat.conj().T, atol=ATOL_ALGEBRA, rtol=0.0):
             raise InvariantError("density matrix is not Hermitian within 1e-12")
         if abs(np.trace(mat).real - 1.0) > ATOL_ALGEBRA or abs(np.trace(mat).imag) > ATOL_ALGEBRA:
             raise InvariantError(f"density matrix trace {np.trace(mat)} is not 1 within 1e-12")
-        if float(np.linalg.eigvalsh(mat).min()) < -1e-10:
+        if float(np.linalg.eigvalsh(mat).min()) < -ATOL_COMPOSED:
             raise InvariantError("density matrix has an eigenvalue below -1e-10")
-        mat = mat.copy()
-        mat.setflags(write=False)
-        object.__setattr__(self, "entries", mat)
 
     @property
     def dim(self) -> int:
@@ -166,7 +160,7 @@ class BlochVector:
             object.__setattr__(self, name, float(getattr(self, name)))
         if not all(map(math.isfinite, (self.px, self.py, self.pz))):
             raise InvariantError(f"Bloch vector ({self.px}, {self.py}, {self.pz}) is not finite")
-        if not self.px**2 + self.py**2 + self.pz**2 <= 1.0 + 1e-10:
+        if not self.px**2 + self.py**2 + self.pz**2 <= 1.0 + ATOL_COMPOSED:
             raise InvariantError(f"Bloch vector ({self.px}, {self.py}, {self.pz}) has norm > 1")
 
     def norm(self) -> float:
@@ -193,7 +187,7 @@ def unit_vector(value: Iterable[float], what: str) -> np.ndarray:
     if v.shape != (3,):
         raise DimensionError(f"{what} must be a 3-vector, got shape {v.shape}")
     norm = float(np.linalg.norm(v))
-    if not abs(norm - 1.0) <= 1e-10:
+    if not abs(norm - 1.0) <= ATOL_COMPOSED:
         raise SpinAlgebraError(f"{what} must be unit length, |{what}| = {norm}")
     v.setflags(write=False)
     return v

@@ -120,6 +120,14 @@ class TestPredictCommand:
         path.write_text("gamma = 1\n")
         assert cli.main(["predict", "--config", str(path)]) == 1
 
+    def test_repeated_config_key_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "repeated.cfg"
+        path.write_text("epsilon = 0.2\n# a later edit\nepsilon = 0.3\n")
+        assert cli.main(["predict", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config key 'epsilon' repeated on lines 1 and 3" in captured.err
+
     def test_missing_config_file_exits_1(self, capsys, tmp_path):
         assert cli.main(["predict", "--config", str(tmp_path / "absent.cfg")]) == 1
 
@@ -334,7 +342,8 @@ class TestConfigSchema:
     )
     def test_flag_overrides_the_file_value(self, capsys, tmp_path, flag, key, file_text, flag_text, shown):
         path = tmp_path / "run.cfg"
-        path.write_text(f"events = 200\nseed = 3\n{key} = {file_text}\n")
+        file_values = {"events": "200", "seed": "3", key: file_text}
+        path.write_text("".join(f"{name} = {text}\n" for name, text in file_values.items()))
         code, out = run(capsys, "simulate", "--config", str(path), f"{flag}={flag_text}")
         assert code == 0
         assert manifest_of(out)[key] == shown

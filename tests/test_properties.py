@@ -1,11 +1,13 @@
-"""Property-based tests of config serialisation and of the analytic model."""
+"""Property-based tests of config serialisation, the analytic model and the Monte Carlo."""
+
+import dataclasses
 
 import numpy as np
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from spinport import cli
-from spinport.reaction import ExperimentConfig, TargetSpec, predict
+from spinport.reaction import ExperimentConfig, TargetSpec, event_records, predict, simulate
 
 # Derandomized and without an example database: the same examples on every
 # run, and nothing written next to the sources.
@@ -89,3 +91,16 @@ def test_every_config_that_constructs_predicts_inside_the_unit_ball(direction, t
         assert np.all(np.isfinite(vector.as_array()))
         assert vector.norm() <= 1.0 + 1e-10
     assert np.isfinite(prediction.enhancement) and prediction.enhancement >= 0.0
+
+
+def _estimate_bits(estimate):
+    return estimate.axis.tobytes(), estimate.p_hat.hex(), estimate.sigma.hex(), estimate.n_events
+
+
+@PROPERTY
+@given(configs, st.integers(1, 120), st.integers(0, 2**128 - 1), st.integers(1, 150))
+def test_simulate_and_event_records_do_not_depend_on_the_chunk_size(config, events, seed, chunk_size):
+    config = dataclasses.replace(config, events=events, seed=seed)
+    chunked = simulate(config, chunk_size=chunk_size)
+    assert list(map(_estimate_bits, chunked)) == list(map(_estimate_bits, simulate(config)))
+    assert list(event_records(config, chunk_size=chunk_size)) == list(event_records(config))

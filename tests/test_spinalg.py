@@ -87,6 +87,31 @@ class TestKet:
         assert not Ket([1, 1]).is_normalized
 
 
+class TestConstruction:
+    @pytest.mark.parametrize("cls", [Operator, DensityMatrix])
+    @pytest.mark.parametrize("shape", [(2, 4), (4,), (2, 2, 2), (16, 16)])
+    def test_matrix_types_reject_bad_shapes(self, cls, shape):
+        with pytest.raises(DimensionError, match=cls.__name__):
+            cls(np.zeros(shape))
+
+    @pytest.mark.parametrize(
+        "cls, field, source",
+        [
+            (Ket, "amplitudes", np.array([SQRT_HALF, 1j * SQRT_HALF])),
+            (Operator, "entries", np.array([[0, 1j], [1, 0]])),
+            (DensityMatrix, "entries", np.array([[0.5, 0.5j], [-0.5j, 0.5]])),
+        ],
+    )
+    def test_holds_a_read_only_copy_of_a_writable_source(self, cls, field, source):
+        original = source.copy()
+        value = cls(source)
+        stored = getattr(value, field)
+        assert not stored.flags.writeable
+        assert not np.shares_memory(stored, source)
+        source[...] = 0.0
+        assert np.array_equal(stored, original)
+
+
 class TestTensor:
     def test_basis_state_concatenation(self):
         out = tensor(Ket([1, 0]), Ket([0, 1]))
@@ -384,6 +409,13 @@ class TestStateInvariants:
             DensityMatrix([[0.5, 0.5j], [0.5j, 0.5]])  # not Hermitian
         with pytest.raises(InvariantError):
             DensityMatrix([[1.5, 0], [0, -0.5]])  # negative eigenvalue
+
+    @pytest.mark.parametrize("bad", [*NON_FINITE, complex(0.0, np.inf)])
+    def test_density_matrix_rejects_non_finite_entries(self, bad):
+        with pytest.raises(InvariantError, match="not finite"):
+            DensityMatrix([[0.5, bad], [np.conj(bad), 0.5]])
+        with pytest.raises(InvariantError, match="not finite"):
+            DensityMatrix([[bad, 0.0], [0.0, 0.5]])
 
     def test_bloch_vector_ball(self):
         with pytest.raises(InvariantError):
