@@ -252,8 +252,6 @@ def cmd_predict(args) -> int:
 
 def cmd_simulate(args) -> int:
     config = _load_config(args)
-    if config.seed is None:
-        raise ValueError("simulate requires an explicit --seed (or a seed in the config file)")
     estimates = reaction.simulate(config)
     header = ["axis_x", "axis_y", "axis_z", "p_hat", "sigma", "n_events"]
     rows = [

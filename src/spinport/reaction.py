@@ -18,10 +18,11 @@ pre-selection background probability of ``1 - f*(1-epsilon)`` yields
 exactly that post-selection contamination. Contamination replaces the
 teleported spin state by the conventional one; it does not depolarize it.
 
-Monte Carlo determinism: event ``i`` owns block ``i`` of a Philox stream
-keyed by the seed (four uniforms per block, of which three are used), so
-results are bit-identical however the event loop is chunked or
-parallelized.
+The Monte Carlo tabulates ``predict``'s channel model once per run as
+``p_up[channel, slot, axis]``, which every event indexes. Event ``i`` owns
+block ``i`` of a Philox stream keyed by the seed (four uniforms per block,
+of which three are used), so results are bit-identical however the event
+loop is chunked or parallelized.
 """
 
 from __future__ import annotations
@@ -119,12 +120,13 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "beam_direction", unit_vector(self.beam_direction, "beam_direction"))
-        object.__setattr__(self, "beam_magnitude", float(self.beam_magnitude))
-        object.__setattr__(self, "epsilon", float(self.epsilon))
-        object.__setattr__(self, "k_transfer", float(self.k_transfer))
-        object.__setattr__(self, "events", int(self.events))
-        object.__setattr__(self, "seed", None if self.seed is None else int(self.seed))
-        object.__setattr__(self, "beam_energy_mev", float(self.beam_energy_mev))
+        for key in ("beam_magnitude", "epsilon", "k_transfer", "beam_energy_mev"):
+            object.__setattr__(self, key, float(getattr(self, key)))
+        for key in ("events", "seed"):  # a float must be integral, not truncated
+            value = getattr(self, key)
+            if isinstance(value, (float, np.floating)) and not float(value).is_integer():
+                raise ValueError(f"{key} {value} is not an integer")
+            object.__setattr__(self, key, None if value is None else int(value))
         if not 0.0 <= self.beam_magnitude <= 1.0:
             raise ValueError(f"beam_magnitude {self.beam_magnitude} outside [0, 1]")
         if not 0.0 <= self.epsilon <= 1.0:
@@ -157,6 +159,13 @@ class ModelPrediction:
     enhancement: float
 
 
+def _channel_model(config: ExperimentConfig) -> tuple[float, np.ndarray, np.ndarray]:
+    """Channel weight w, conventional Bloch vector, and each Bell branch's Bloch vector in ``BELL_ORDER``."""
+    beam = config.beam_bloch()
+    w = channel_purity(config.target) * (1.0 - config.epsilon)
+    return w, np.array([0.0, config.k_transfer * beam[1], 0.0]), _BRANCH_SIGNS * beam
+
+
 def predict(config: ExperimentConfig) -> ModelPrediction:
     """Analytic neutron polarization for both models.
 
@@ -166,10 +175,8 @@ def predict(config: ExperimentConfig) -> ModelPrediction:
         teleported   = w * (-P_x, -P_y, P_z) + (1 - w) * conventional
         enhancement  = |teleported| / max(|conventional|, 1e-6)
     """
-    beam = config.beam_bloch()
-    w = channel_purity(config.target) * (1.0 - config.epsilon)
-    conventional = np.array([0.0, config.k_transfer * beam[1], 0.0])
-    teleported = w * (_BRANCH_SIGNS[_SINGLET_INDEX] * beam) + (1.0 - w) * conventional
+    w, conventional, branches = _channel_model(config)
+    teleported = w * branches[_SINGLET_INDEX] + (1.0 - w) * conventional
     enhancement = float(np.linalg.norm(teleported)) / max(float(np.linalg.norm(conventional)), ENHANCEMENT_FLOOR)
     return ModelPrediction(
         qt_bloch=BlochVector(*teleported),
@@ -268,25 +275,24 @@ class PolarimetryEstimate:
 def _event_columns(config: ExperimentConfig, chunk_size: int) -> Iterator[tuple]:
     """Sample the event stream; yield ``(first_id, accepted, axis_index, spin)`` per chunk.
 
-    Per event: one uniform decides the channel (teleported with probability
-    purity * (1 - epsilon), else conventional background), one whether the
-    event passes the neutron-energy selection (the singlet slot of the Bell
-    distribution, probability 1/4 on both channels), and one the neutron spin
-    along the event's analyzer axis (round-robin by event id), with
-    P(+1) = (1 + P.axis)/2. Event ``i`` always draws Philox block ``i`` keyed
-    by the seed, so any ``chunk_size`` yields bit-identical columns, and the
-    stream can be drawn again instead of being stored.
+    ``predict``'s channel model becomes one per-run table ``p_up[channel,
+    slot, axis] = (1 + P.axis)/2``, P the conventional vector (channel 0) or
+    Bell branch ``slot`` (channel 1). Per event one uniform draws the channel
+    (teleported with probability w), one the Bell slot, whose singlet passes
+    the neutron-energy selection (1/4 on both channels), and one the spin
+    along the event's analyzer axis (round-robin by event id): +1 with
+    probability ``p_up``. Event ``i`` draws Philox block ``i`` keyed by the
+    seed, so any ``chunk_size`` yields bit-identical columns, redrawn, not stored.
     """
     if config.seed is None:
         raise ValueError("simulate requires an explicit seed")
     if chunk_size < 1:
         raise ValueError("chunk_size must be positive")
 
-    beam = config.beam_bloch()
-    p_teleported = channel_purity(config.target) * (1.0 - config.epsilon)
-    background = np.array([0.0, config.k_transfer * beam[1], 0.0])
-    branch_blochs = _BRANCH_SIGNS * beam
+    p_teleported, background, branches = _channel_model(config)
     axes = np.stack(config.analyzer_axes)
+    blochs = np.stack([np.broadcast_to(background, branches.shape), branches])
+    p_up = np.clip(0.5 * (1.0 + np.einsum("csj,aj->csa", blochs, axes)), 0.0, 1.0)
 
     for start in range(0, config.events, chunk_size):
         stop = min(start + chunk_size, config.events)
@@ -295,11 +301,8 @@ def _event_columns(config: ExperimentConfig, chunk_size: int) -> Iterator[tuple]
         teleported = uniforms[:, 0] < p_teleported
         slot = np.asarray(index_from_uniform(uniforms[:, 1], _BELL_WEIGHTS))
         accepted = slot == _SINGLET_INDEX
-        bloch = branch_blochs[slot]
-        bloch[~teleported] = background
         axis_index = np.arange(start, stop) % len(axes)
-        p_up = np.clip(0.5 * (1.0 + np.einsum("ij,ij->i", bloch, axes[axis_index])), 0.0, 1.0)
-        spin = np.where(uniforms[:, 2] < p_up, 1, -1)
+        spin = np.where(uniforms[:, 2] < p_up[teleported.astype(np.intp), slot, axis_index], 1, -1)
         yield start, accepted, axis_index, spin
 
 

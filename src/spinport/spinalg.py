@@ -131,10 +131,11 @@ class DensityMatrix:
         mat = _store_frozen(self, "entries", ndim=2)
         if not np.isfinite(mat).all():
             raise InvariantError("density matrix entries are not finite")
-        if not np.allclose(mat, mat.conj().T, atol=ATOL_ALGEBRA, rtol=0.0):
+        if not np.abs(mat - mat.conj().T).max() <= ATOL_ALGEBRA:
             raise InvariantError("density matrix is not Hermitian within 1e-12")
-        if abs(np.trace(mat).real - 1.0) > ATOL_ALGEBRA or abs(np.trace(mat).imag) > ATOL_ALGEBRA:
-            raise InvariantError(f"density matrix trace {np.trace(mat)} is not 1 within 1e-12")
+        trace = np.trace(mat)
+        if abs(trace.real - 1.0) > ATOL_ALGEBRA or abs(trace.imag) > ATOL_ALGEBRA:
+            raise InvariantError(f"density matrix trace {trace} is not 1 within 1e-12")
         if float(np.linalg.eigvalsh(mat).min()) < -ATOL_COMPOSED:
             raise InvariantError("density matrix has an eigenvalue below -1e-10")
 

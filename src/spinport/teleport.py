@@ -169,7 +169,7 @@ def _result(beam: Ket, outcome: BellLabel, probability: float, neutron_pre: Ket,
 def run_postselected(s: BeamState, policy: CorrectionPolicy = SIGMA_Z) -> TeleportResult:
     """Run the protocol keeping only the discriminated psi- outcome."""
     beam = prepare_beam(s)
-    probability, neutron_pre = bellkit.project_bell(compose(beam, prepare_deuteron()), BellLabel.PSI_MINUS)
+    probability, neutron_pre = bellkit.project_bell(spinalg.tensor(beam, _DEUTERON), BellLabel.PSI_MINUS)
     return _result(beam, BellLabel.PSI_MINUS, probability, neutron_pre, policy)
 
 
@@ -182,7 +182,7 @@ def run_sampled(s: BeamState, policy: CorrectionPolicy, seed: int) -> TeleportRe
     because the experiment discards them.
     """
     beam = prepare_beam(s)
-    decomposition = bellkit.decompose_12(compose(beam, prepare_deuteron()))
+    decomposition = bellkit.decompose_12(spinalg.tensor(beam, _DEUTERON))
     probs = [decomposition.probability(label) for label in BELL_ORDER]
     rng = np.random.Generator(np.random.Philox(key=seed))
     outcome = BELL_ORDER[int(index_from_uniform(rng.random(), probs))]

@@ -183,8 +183,13 @@ class TestNonFiniteInputs:
 
 
 class TestSimulateCommand:
-    def test_missing_seed_exits_1(self, capsys):
+    def test_missing_seed_exits_1(self, capsys, tmp_path):
         assert cli.main(["simulate", "--events", "100"]) == 1
+        assert "seed" in capsys.readouterr().err
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--events", "100", "--out", str(out)]) == 1
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "fmt, digest",
@@ -321,6 +326,10 @@ class TestConfigRoundTrip:
         text = "# a comment\n\nepsilon = 0.25  # trailing comment\n"
         values = cli.parse_config_text(text)
         assert values == {"epsilon": "0.25"}
+
+    def test_line_without_equals_sign_is_refused(self):
+        with pytest.raises(ValueError, match="config line 1 is not 'key = value'"):
+            cli.parse_config_text("epsilon 0.2")
 
 
 class TestConfigSchema:

@@ -84,8 +84,12 @@ class TestExperimentConfig:
             config(beam_direction=(1, 1, 0))
         with pytest.raises(ValueError):
             config(analyzer_axes=())
+        with pytest.raises(ValueError, match="events 1.5 is not an integer"):
+            config(events=1.5)
+        with pytest.raises(ValueError, match="TargetSpec"):
+            config(target=(0, 1, 0))
 
-    @pytest.mark.parametrize("key", ("beam_magnitude", "epsilon", "k_transfer", "beam_energy_mev"))
+    @pytest.mark.parametrize("key", ("beam_magnitude", "epsilon", "k_transfer", "beam_energy_mev", "events", "seed"))
     @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
     def test_non_finite_scalars_are_rejected_by_name(self, key, bad):
         with pytest.raises(ValueError, match=key):
@@ -107,6 +111,10 @@ class TestExperimentConfig:
         assert config(seed=2**128 - 1).seed == 2**128 - 1
         for bad in (-1, 2**128):
             with pytest.raises(ValueError, match="seed"):
+                config(seed=bad)
+        assert config(seed=7.0).seed == 7
+        for bad in (7.9, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=f"seed {bad} is not an integer"):
                 config(seed=bad)
 
     def test_beam_bloch(self):
@@ -273,6 +281,10 @@ class TestSimulate:
     def test_seed_is_mandatory(self):
         with pytest.raises(ValueError):
             simulate(config(seed=None))
+
+    def test_chunk_size_must_be_positive(self):
+        with pytest.raises(ValueError, match="chunk_size"):
+            simulate(config(), chunk_size=0)
 
     def test_undefined_estimate_when_an_axis_sees_no_events(self):
         # two axes but a single event: the second axis gets nothing

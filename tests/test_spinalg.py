@@ -407,6 +407,9 @@ class TestStateInvariants:
             DensityMatrix([[1, 0], [0, 1]])  # trace 2
         with pytest.raises(InvariantError):
             DensityMatrix([[0.5, 0.5j], [0.5j, 0.5]])  # not Hermitian
+        DensityMatrix([[0.5, 1e-12], [0.0, 0.5]])  # off-diagonal deviation at the tolerance
+        with pytest.raises(InvariantError, match="not Hermitian"):
+            DensityMatrix([[0.5, 2e-12], [0.0, 0.5]])
         with pytest.raises(InvariantError):
             DensityMatrix([[1.5, 0], [0, -0.5]])  # negative eigenvalue
 

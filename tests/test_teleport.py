@@ -8,6 +8,7 @@ import pytest
 from helpers import BELL_ARRAYS, oracle_decomposition, random_beam
 from spinport.bellkit import BELL_ORDER, BellLabel, decompose_12
 from spinport.spinalg import (
+    DimensionError,
     Ket,
     NormalizationError,
     Operator,
@@ -106,6 +107,18 @@ class TestCompose:
         overlap = np.vdot(np.array([a, -b]), conditional.amplitudes)
         assert abs(overlap) == pytest.approx(1.0, abs=1e-12)
 
+    def test_rejects_wrong_dimensions(self):
+        with pytest.raises(DimensionError):
+            compose(prepare_deuteron(), prepare_beam(BeamState(1, 0)))
+        with pytest.raises(DimensionError):
+            compose(Ket([1, 0]), Ket([1, 0]))
+
+    def test_rejects_unnormalized_inputs(self):
+        with pytest.raises(NormalizationError):
+            compose(Ket([1, 1]), prepare_deuteron())
+        with pytest.raises(NormalizationError):
+            compose(Ket([1, 0]), Ket([1, 1, 0, 0]))
+
 
 class TestCorrection:
     def test_sigma_z_undoes_the_sign_flip(self):
@@ -157,6 +170,8 @@ class TestFidelity:
     def test_requires_normalized_single_particle(self):
         with pytest.raises(NormalizationError):
             fidelity(Ket([1, 1]), Ket([1, 0]))
+        with pytest.raises(DimensionError):
+            fidelity(Ket([1, 0]), prepare_deuteron())
 
 
 class TestRunPostselected:
