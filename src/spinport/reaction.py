@@ -19,10 +19,8 @@ exactly that post-selection contamination. Contamination replaces the
 teleported spin state by the conventional one; it does not depolarize it.
 
 The Monte Carlo tabulates ``predict``'s channel model once per run as
-``p_up[channel, slot, axis]``, which every event indexes. Event ``i`` owns
-block ``i`` of a Philox stream keyed by the seed (four uniforms per block,
-of which three are used), so results are bit-identical however the event
-loop is chunked or parallelized.
+``p_up[channel, slot, axis]``; events index it with uniforms drawn as
+``teleport._philox`` documents, bit-identical however the loop is chunked.
 """
 
 from __future__ import annotations
@@ -34,8 +32,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .bellkit import BELL_ORDER, BellLabel
-from .spinalg import BlochVector, unit_vector
-from .teleport import index_from_uniform
+from .spinalg import BlochVector, _integer, unit_vector
+from .teleport import _philox, _seed, index_from_uniform
 
 #: Denominator floor keeping the enhancement ratio finite when the
 #: conventional prediction vanishes (e.g. an x-polarized beam).
@@ -108,7 +106,7 @@ class ExperimentConfig:
     used by no model.
     """
 
-    beam_direction: np.ndarray = (0.0, 1.0, 0.0)
+    beam_direction: np.ndarray = AXIS_VECTORS["y"]
     beam_magnitude: float = 1.0
     epsilon: float = 0.04
     k_transfer: float = -0.1
@@ -116,17 +114,14 @@ class ExperimentConfig:
     events: int = 10000
     seed: int | None = None
     beam_energy_mev: float = 170.0
-    analyzer_axes: tuple[np.ndarray, ...] = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+    analyzer_axes: tuple[np.ndarray, ...] = tuple(AXIS_VECTORS.values())
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "beam_direction", unit_vector(self.beam_direction, "beam_direction"))
         for key in ("beam_magnitude", "epsilon", "k_transfer", "beam_energy_mev"):
             object.__setattr__(self, key, float(getattr(self, key)))
-        for key in ("events", "seed"):  # a float must be integral, not truncated
-            value = getattr(self, key)
-            if isinstance(value, (float, np.floating)) and not float(value).is_integer():
-                raise ValueError(f"{key} {value} is not an integer")
-            object.__setattr__(self, key, None if value is None else int(value))
+        object.__setattr__(self, "events", _integer(self.events, "events"))
+        object.__setattr__(self, "seed", None if self.seed is None else _seed(self.seed))
         if not 0.0 <= self.beam_magnitude <= 1.0:
             raise ValueError(f"beam_magnitude {self.beam_magnitude} outside [0, 1]")
         if not 0.0 <= self.epsilon <= 1.0:
@@ -137,8 +132,6 @@ class ExperimentConfig:
             raise ValueError("target must be a TargetSpec")
         if self.events < 1:
             raise ValueError(f"events must be positive, got {self.events}")
-        if self.seed is not None and not 0 <= self.seed < 2**128:
-            raise ValueError(f"seed {self.seed} outside [0, 2**128)")
         if not 0.0 < self.beam_energy_mev < np.inf:
             raise ValueError(f"beam_energy_mev {self.beam_energy_mev} is not a positive finite energy")
         axes = tuple(unit_vector(axis, "analyzer axis") for axis in self.analyzer_axes)
@@ -256,6 +249,8 @@ class PolarimetryEstimate:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "axis", unit_vector(self.axis, "analyzer axis"))
+        if self.n_events < 0:
+            raise ValueError(f"n_events {self.n_events} is negative")
         if self.n_events > 0 and not abs(self.p_hat) <= 1.0:
             raise ValueError(f"|p_hat| = {abs(self.p_hat)} exceeds 1")
 
@@ -265,6 +260,8 @@ class PolarimetryEstimate:
 
     @classmethod
     def from_counts(cls, axis: np.ndarray, n_plus: int, n_minus: int) -> "PolarimetryEstimate":
+        if min(n_plus, n_minus) < 0:
+            raise ValueError(f"counts n_plus {n_plus} and n_minus {n_minus} must not be negative")
         n = n_plus + n_minus
         if n == 0:
             return cls(axis=axis, p_hat=float("nan"), sigma=float("nan"), n_events=0)
@@ -281,8 +278,8 @@ def _event_columns(config: ExperimentConfig, chunk_size: int) -> Iterator[tuple]
     (teleported with probability w), one the Bell slot, whose singlet passes
     the neutron-energy selection (1/4 on both channels), and one the spin
     along the event's analyzer axis (round-robin by event id): +1 with
-    probability ``p_up``. Event ``i`` draws Philox block ``i`` keyed by the
-    seed, so any ``chunk_size`` yields bit-identical columns, redrawn, not stored.
+    probability ``p_up``. Each event draws its own ``teleport._philox`` block,
+    so any ``chunk_size`` yields bit-identical columns, redrawn, not stored.
     """
     if config.seed is None:
         raise ValueError("simulate requires an explicit seed")
@@ -296,8 +293,7 @@ def _event_columns(config: ExperimentConfig, chunk_size: int) -> Iterator[tuple]
 
     for start in range(0, config.events, chunk_size):
         stop = min(start + chunk_size, config.events)
-        generator = np.random.Generator(np.random.Philox(key=config.seed, counter=start))
-        uniforms = generator.random((stop - start, 4))
+        uniforms = _philox(config.seed, start).random((stop - start, 4))
         teleported = uniforms[:, 0] < p_teleported
         slot = np.asarray(index_from_uniform(uniforms[:, 1], _BELL_WEIGHTS))
         accepted = slot == _SINGLET_INDEX

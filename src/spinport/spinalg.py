@@ -194,6 +194,14 @@ def unit_vector(value: Iterable[float], what: str) -> np.ndarray:
     return v
 
 
+def _integer(value, key: str) -> int:
+    """An int, or an integral float, as an int; ``key`` names it in errors. No int goes through ``float``."""
+    integral_float = isinstance(value, (float, np.floating)) and float(value).is_integer()
+    if integral_float or isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{key} {repr(value) if isinstance(value, str) else value} is not an integer")
+
+
 def pauli(axis: str) -> Operator:
     """Return the 2x2 Pauli matrix for ``axis`` in {"x", "y", "z", "identity"}."""
     try:

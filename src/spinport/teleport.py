@@ -149,6 +149,19 @@ def index_from_uniform(u, probabilities) -> np.ndarray | int:
     return np.minimum(idx, len(cum) - 1)
 
 
+def _seed(value) -> int:
+    """``value`` as a Philox key: an int, or an integral float, in [0, 2**128)."""
+    if not 0 <= (seed := spinalg._integer(value, "seed")) < 2**128:
+        raise ValueError(f"seed {seed} outside [0, 2**128)")
+    return seed
+
+
+def _philox(seed: int, counter: int = 0) -> np.random.Generator:
+    """The seeded stream: event ``i`` of ``reaction.simulate`` uses three of the four uniforms in the
+    block after counter ``i``; ``run_sampled`` draws the first uniform of event 0's block."""
+    return np.random.Generator(np.random.Philox(key=seed, counter=counter))
+
+
 def _result(beam: Ket, outcome: BellLabel, probability: float, neutron_pre: Ket,
             policy: CorrectionPolicy) -> TeleportResult:
     """Correct only a psi- outcome; the experiment discards the others uncorrected."""
@@ -174,17 +187,12 @@ def run_postselected(s: BeamState, policy: CorrectionPolicy = SIGMA_Z) -> Telepo
 
 
 def run_sampled(s: BeamState, policy: CorrectionPolicy, seed: int) -> TeleportResult:
-    """Draw one Bell outcome with its Born probability and report that branch.
-
-    Uses a counter-based generator keyed by ``seed``; the draw consumes
-    exactly one uniform variate, with outcomes ordered as ``BELL_ORDER``.
-    Only a psi- outcome is corrected; the others are reported uncorrected
-    because the experiment discards them.
-    """
+    """Report the Bell outcome drawn by Born probability from ``_philox(seed)``, in ``BELL_ORDER``; only a
+    psi- outcome is corrected, since the experiment discards the others."""
+    seed = _seed(seed)
     beam = prepare_beam(s)
     decomposition = bellkit.decompose_12(spinalg.tensor(beam, _DEUTERON))
     probs = [decomposition.probability(label) for label in BELL_ORDER]
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    outcome = BELL_ORDER[int(index_from_uniform(rng.random(), probs))]
+    outcome = BELL_ORDER[int(index_from_uniform(_philox(seed).random(), probs))]
     branch = decomposition.branches[outcome]
     return _result(beam, outcome, branch.probability, branch.conditional, policy)

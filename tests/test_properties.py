@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from spinport import cli
 from spinport.reaction import ExperimentConfig, TargetSpec, event_records, predict, simulate
+from spinport.teleport import SIGMA_Z, BeamState, run_sampled
 
 # Derandomized and without an example database: the same examples on every
 # run, and nothing written next to the sources.
@@ -104,3 +105,22 @@ def test_simulate_and_event_records_do_not_depend_on_the_chunk_size(config, even
     chunked = simulate(config, chunk_size=chunk_size)
     assert list(map(_estimate_bits, chunked)) == list(map(_estimate_bits, simulate(config)))
     assert list(event_records(config, chunk_size=chunk_size)) == list(event_records(config))
+
+
+def _seed_error(build) -> str | None:
+    try:
+        build()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@PROPERTY
+@given(st.integers(-(2**130), 2**130) | st.floats() | st.booleans())
+def test_config_and_run_sampled_accept_the_same_seeds(seed):
+    errors = [
+        _seed_error(lambda: ExperimentConfig(seed=seed)),
+        _seed_error(lambda: run_sampled(BeamState(1, 0), SIGMA_Z, seed)),
+    ]
+    assert (errors[0] is None) == (errors[1] is None)
+    assert all("seed" in error for error in errors if error is not None)

@@ -86,6 +86,9 @@ class TestExperimentConfig:
             config(analyzer_axes=())
         with pytest.raises(ValueError, match="events 1.5 is not an integer"):
             config(events=1.5)
+        for bad, shown in (("1.5", "'1.5'"), (None, "None"), (True, "True")):
+            with pytest.raises(ValueError, match=f"events {shown} is not an integer"):
+                config(events=bad)
         with pytest.raises(ValueError, match="TargetSpec"):
             config(target=(0, 1, 0))
 
@@ -113,9 +116,13 @@ class TestExperimentConfig:
             with pytest.raises(ValueError, match="seed"):
                 config(seed=bad)
         assert config(seed=7.0).seed == 7
-        for bad in (7.9, np.nan, np.inf, -np.inf):
+        for bad in (7.9, np.nan, np.inf, -np.inf, True):
             with pytest.raises(ValueError, match=f"seed {bad} is not an integer"):
                 config(seed=bad)
+        with pytest.raises(ValueError, match="seed '7' is not an integer"):
+            config(seed="7")
+        with pytest.raises(ValueError, match="seed .* outside"):
+            config(seed=2**1100)
 
     def test_beam_bloch(self):
         c = config(beam_direction=X, beam_magnitude=0.5)
@@ -293,6 +300,18 @@ class TestSimulate:
         assert estimates[1].n_events == 0
         assert not estimates[1].defined
         assert np.isnan(estimates[1].p_hat)
+
+    @pytest.mark.parametrize(
+        "build, key",
+        (
+            (lambda: PolarimetryEstimate.from_counts(np.array(X), 2, -2), "n_minus -2"),
+            (lambda: PolarimetryEstimate.from_counts(np.array(X), -1, 0), "n_plus -1"),
+            (lambda: PolarimetryEstimate(np.array(X), 0.5, 0.1, n_events=-3), "n_events -3"),
+        ),
+    )
+    def test_negative_counts_are_refused_by_name(self, build, key):
+        with pytest.raises(ValueError, match=key):
+            build()
 
     def test_estimator_error_formula(self):
         estimate = PolarimetryEstimate.from_counts(np.array(X), 75, 25)

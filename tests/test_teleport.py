@@ -249,6 +249,11 @@ class TestRunSampled:
             expected = BELL_ORDER[min(int(np.searchsorted(np.cumsum([0.25] * 4), u, side="right")), 3)]
             assert run_sampled(AXIS_BEAMS["y"], SIGMA_Z, seed=seed).outcome is expected
 
+    @pytest.mark.parametrize("bad", (None, 1.5, np.nan, np.inf, -np.inf, True, "7", -1, 2**128))
+    def test_seed_is_validated_by_name(self, bad):
+        with pytest.raises(ValueError, match="seed"):
+            run_sampled(AXIS_BEAMS["y"], SIGMA_Z, bad)
+
     def test_outcome_frequencies_are_uniform(self):
         counts = {label: 0 for label in BELL_ORDER}
         beam = BeamState(0.6, 0.8j)
