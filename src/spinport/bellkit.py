@@ -13,6 +13,12 @@ with normalized conditionals |chi_B> for particle 3. The coefficient c_B
 absorbs magnitude and phase: each conditional is reported with its first
 nonzero amplitude real and positive, so only the products c_B |chi_B> are
 convention-free.
+
+Layering: ``decompose_12`` and ``project_bell`` check the dimension of their
+``Ket`` at the boundary and wrap what they return; the ``_``-functions under
+them (``_project_12``, ``_split``, ``_project``) work on raw amplitude arrays
+and are what ``teleport``'s exact protocol calls. The normalization test and
+the zero-probability refusal live in that core, so every caller runs them.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from .spinalg import (
     NormalizationError,
     Operator,
     SpinAlgebraError,
+    _is_normalized,
 )
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
@@ -120,29 +127,51 @@ class BellDecomposition:
         return Ket(amps)
 
 
-def _split_branch(projected: np.ndarray) -> BellBranch:
+def _split(projected: np.ndarray) -> tuple[complex, np.ndarray | None]:
+    """Coefficient and normalized conditional of one projected row; ``(0j, None)`` when the row vanishes."""
     nrm = float(np.linalg.norm(projected))
     if nrm <= ZERO_NORM:
-        return BellBranch(coefficient=0j, conditional=Ket([1, 0]), defined=False)
+        return 0j, None
     # first amplitude that is not numerical dust fixes the phase convention
     lead = projected[0] if abs(projected[0]) > 1e-12 * nrm else projected[1]
     coefficient = complex(lead / abs(lead) * nrm)
-    return BellBranch(coefficient=coefficient, conditional=Ket(projected / coefficient))
+    return coefficient, projected / coefficient
 
 
-def _project_12(psi: Ket) -> np.ndarray:
-    """Unnormalized particle-3 amplitudes of each Bell outcome, one row per label in ``BELL_ORDER``."""
-    if psi.dim != 8:
-        raise DimensionError(f"decompose_12 needs a three-particle ket (dim 8), got dim {psi.dim}")
-    if not psi.is_normalized:
+def _split_branch(projected: np.ndarray) -> BellBranch:
+    coefficient, conditional = _split(projected)
+    if conditional is None:
+        return BellBranch(coefficient=coefficient, conditional=Ket([1, 0]), defined=False)
+    return BellBranch(coefficient=coefficient, conditional=Ket(conditional))
+
+
+def _project_12(amplitudes: np.ndarray) -> np.ndarray:
+    """Unnormalized particle-3 amplitudes of each Bell outcome of dim-8 ``amplitudes``, one row per label in
+    ``BELL_ORDER``."""
+    if not _is_normalized(amplitudes):
         raise NormalizationError("decompose_12 requires a normalized input")
     # rows of the reshape: joint (particle 1, particle 2) index, columns: particle 3
-    return (_BELL_ROWS @ psi.amplitudes.reshape(4, 2))[:, 0]
+    return (_BELL_ROWS @ amplitudes.reshape(4, 2))[:, 0]
+
+
+def _project(amplitudes: np.ndarray, b: BellLabel) -> tuple[float, np.ndarray]:
+    """Probability of outcome ``b`` of dim-8 ``amplitudes`` and the normalized particle-3 conditional."""
+    coefficient, conditional = _split(_project_12(amplitudes)[_BELL_INDEX[b]])
+    probability = abs(coefficient) ** 2
+    if probability < 1e-14:
+        raise ZeroProbabilityError(f"outcome {b.value} has zero probability; conditional undefined")
+    return probability, conditional
+
+
+def _three_particles(psi: Ket) -> np.ndarray:
+    if psi.dim != 8:
+        raise DimensionError(f"decompose_12 needs a three-particle ket (dim 8), got dim {psi.dim}")
+    return psi.amplitudes
 
 
 def decompose_12(psi: Ket) -> BellDecomposition:
     """Bell decomposition of a normalized three-particle ket over particles (1, 2)."""
-    return BellDecomposition(dict(zip(BELL_ORDER, map(_split_branch, _project_12(psi)))))
+    return BellDecomposition(dict(zip(BELL_ORDER, map(_split_branch, _project_12(_three_particles(psi))))))
 
 
 def outcome_probability(psi: Ket, b: BellLabel) -> float:
@@ -152,10 +181,8 @@ def outcome_probability(psi: Ket, b: BellLabel) -> float:
 
 def project_bell(psi: Ket, b: BellLabel) -> tuple[float, Ket]:
     """Probability of outcome ``b`` and the normalized post-measurement particle-3 state."""
-    branch = _split_branch(_project_12(psi)[_BELL_INDEX[b]])
-    if branch.probability < 1e-14:
-        raise ZeroProbabilityError(f"outcome {b.value} has zero probability; conditional undefined")
-    return branch.probability, branch.conditional
+    probability, conditional = _project(_three_particles(psi), b)
+    return probability, Ket(conditional)
 
 
 def singlet_projector() -> Operator:

@@ -48,6 +48,10 @@ AXIS_VECTORS = {
     "z": (0.0, 0.0, 1.0),
 }
 
+#: The default analyzer axes, validated once: ``ExperimentConfig`` checks every
+#: other value of ``analyzer_axes`` at construction, and skips only this object.
+_DEFAULT_AXES = tuple(unit_vector(vector, "analyzer axis") for vector in AXIS_VECTORS.values())
+
 # Bloch maps of the four conditional neutron states, in BELL_ORDER:
 # psi+ leaves the spin unchanged, psi- flips x and y, phi+ flips y and z,
 # phi- flips x and z.
@@ -114,7 +118,7 @@ class ExperimentConfig:
     events: int = 10000
     seed: int | None = None
     beam_energy_mev: float = 170.0
-    analyzer_axes: tuple[np.ndarray, ...] = tuple(AXIS_VECTORS.values())
+    analyzer_axes: tuple[np.ndarray, ...] = _DEFAULT_AXES
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "beam_direction", unit_vector(self.beam_direction, "beam_direction"))
@@ -134,10 +138,11 @@ class ExperimentConfig:
             raise ValueError(f"events must be positive, got {self.events}")
         if not 0.0 < self.beam_energy_mev < np.inf:
             raise ValueError(f"beam_energy_mev {self.beam_energy_mev} is not a positive finite energy")
-        axes = tuple(unit_vector(axis, "analyzer axis") for axis in self.analyzer_axes)
-        if not axes:
-            raise ValueError("at least one analyzer axis is required")
-        object.__setattr__(self, "analyzer_axes", axes)
+        if self.analyzer_axes is not _DEFAULT_AXES:
+            axes = tuple(unit_vector(axis, "analyzer axis") for axis in self.analyzer_axes)
+            if not axes:
+                raise ValueError("at least one analyzer axis is required")
+            object.__setattr__(self, "analyzer_axes", axes)
 
     def beam_bloch(self) -> np.ndarray:
         return self.beam_magnitude * self.beam_direction
@@ -299,7 +304,10 @@ def _event_columns(config: ExperimentConfig, chunk_size: int) -> Iterator[tuple]
         accepted = slot == _SINGLET_INDEX
         axis_index = np.arange(start, stop) % len(axes)
         spin = np.where(uniforms[:, 2] < p_up[teleported.astype(np.intp), slot, axis_index], 1, -1)
+        # Hold no chunk while the next one is drawn: the caller frees what it was given.
+        del uniforms, teleported, slot
         yield start, accepted, axis_index, spin
+        del accepted, axis_index, spin
 
 
 def simulate(config: ExperimentConfig, *, chunk_size: int = _DEFAULT_CHUNK) -> list[PolarimetryEstimate]:
@@ -311,6 +319,7 @@ def simulate(config: ExperimentConfig, *, chunk_size: int = _DEFAULT_CHUNK) -> l
     counts = np.zeros(2 * n_axes, dtype=np.int64)  # n+ of each axis, then n-
     for _, accepted, axis_index, spin in _event_columns(config, chunk_size):
         counts += np.bincount(axis_index[accepted] + n_axes * (spin[accepted] < 0), minlength=2 * n_axes)
+        del accepted, axis_index, spin
     n_plus, n_minus = counts.reshape(2, n_axes).tolist()
     return [PolarimetryEstimate.from_counts(*counted) for counted in zip(config.analyzer_axes, n_plus, n_minus)]
 
@@ -319,8 +328,10 @@ def event_records(config: ExperimentConfig, *, chunk_size: int = _DEFAULT_CHUNK)
     """The events ``simulate`` counts, drawn again, as ``EventRecord``s built chunk by chunk."""
     for first_id, accepted, axis_index, spin in _event_columns(config, chunk_size):
         columns = zip(accepted.tolist(), axis_index.tolist(), spin.tolist())
+        del accepted, axis_index, spin
         for event_id, (is_accepted, axis, outcome) in enumerate(columns, first_id):
             yield EventRecord(event_id, is_accepted, axis, outcome)
+        del columns
 
 
 def acceptance_fraction(records: Iterable[EventRecord]) -> float:

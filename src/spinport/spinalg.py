@@ -18,6 +18,9 @@ storage and near-machine precision are both comfortable.
 
 Every value is immutable after construction and every operation is a pure
 function; everything here can be shared freely across threads.
+
+Layering: public functions check value objects at the boundary and call the
+``_``-functions, which work on raw ``ndarray`` amplitudes (one code path each).
 """
 
 from __future__ import annotations
@@ -92,7 +95,7 @@ class Ket:
 
     @property
     def is_normalized(self) -> bool:
-        return abs(float(np.vdot(self.amplitudes, self.amplitudes).real) - 1.0) <= ATOL_ALGEBRA
+        return _is_normalized(self.amplitudes)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Ket({np.array2string(self.amplitudes, precision=6, suppress_small=True)})"
@@ -210,11 +213,21 @@ def pauli(axis: str) -> Operator:
         raise SpinAlgebraError(f"unknown Pauli axis {axis!r}; expected x, y, z or identity") from None
 
 
+def _is_normalized(amplitudes: np.ndarray) -> bool:
+    """Squared norm within ``ATOL_ALGEBRA`` of 1; NaN and infinite amplitudes fail."""
+    return abs(float(np.vdot(amplitudes, amplitudes).real) - 1.0) <= ATOL_ALGEBRA
+
+
+def _tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Amplitudes of the tensor product, ``a`` the more significant factor."""
+    return (a[:, None] * b).reshape(-1)
+
+
 def tensor(a: Ket, b: Ket) -> Ket:
     """Tensor product with ``a`` as the more significant factor."""
     if a.dim * b.dim > 8:
         raise DimensionError(f"tensor product dimension {a.dim * b.dim} exceeds 8 (three particles)")
-    return Ket((a.amplitudes[:, None] * b.amplitudes).reshape(-1))
+    return Ket(_tensor(a.amplitudes, b.amplitudes))
 
 
 def inner(a: Ket, b: Ket) -> complex:

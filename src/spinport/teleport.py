@@ -7,6 +7,13 @@ Applying sigma_z makes that branch exact for every input; a 180-degree
 rotation about y is kept as an alternative policy because it is the
 correction quoted for this scheme, and the fidelity scan quantifies where
 it actually works (x-axis inputs only).
+
+Layering: the public functions check their inputs at the boundary and wrap
+their results in value objects; the ``_``-functions work on raw amplitude
+arrays. ``run_postselected`` stays on arrays from the beam amplitudes to the
+fidelities, over ``bellkit``'s array core, and wraps ``neutron_pre``,
+``neutron_post`` and the ``TeleportResult`` once each at exit. Every check of
+the value-object path still runs there, as an array test at the same point.
 """
 
 from __future__ import annotations
@@ -24,6 +31,8 @@ from .spinalg import (
     NormalizationError,
     Operator,
     SpinAlgebraError,
+    _is_normalized,
+    _tensor,
 )
 
 
@@ -128,13 +137,18 @@ def compose(beam: Ket, deuteron: Ket) -> Ket:
     return spinalg.tensor(beam, deuteron)
 
 
+def _fidelity(x: np.ndarray, y: np.ndarray) -> float:
+    """``fidelity`` of two dim-2 amplitude arrays, with its normalization test of both."""
+    if not (_is_normalized(x) and _is_normalized(y)):
+        raise NormalizationError("fidelity requires normalized inputs")
+    return min(1.0, abs(complex(np.vdot(x, y))) ** 2)
+
+
 def fidelity(x: Ket, y: Ket) -> float:
     """Phase-insensitive overlap |<x|y>|^2 of two normalized single-particle kets."""
     if x.dim != 2 or y.dim != 2:
         raise DimensionError(f"fidelity expects single-particle kets, got dims ({x.dim}, {y.dim})")
-    if not (x.is_normalized and y.is_normalized):
-        raise NormalizationError("fidelity requires normalized inputs")
-    return min(1.0, abs(spinalg.inner(x, y)) ** 2)
+    return _fidelity(x.amplitudes, y.amplitudes)
 
 
 def index_from_uniform(u, probabilities) -> np.ndarray | int:
@@ -158,32 +172,54 @@ def _seed(value) -> int:
 
 def _philox(seed: int, counter: int = 0) -> np.random.Generator:
     """The seeded stream: event ``i`` of ``reaction.simulate`` uses three of the four uniforms in the
-    block after counter ``i``; ``run_sampled`` draws the first uniform of event 0's block."""
+    block after counter ``i``; ``run_sampled`` takes the first uniform of event 0's block, computed by
+    ``_philox_first_uniform``."""
     return np.random.Generator(np.random.Philox(key=seed, counter=counter))
 
 
-def _result(beam: Ket, outcome: BellLabel, probability: float, neutron_pre: Ket,
+_MASK64 = (1 << 64) - 1
+
+
+def _philox_first_uniform(seed: int) -> float:
+    """``_philox(seed).random()``, bit for bit, without building a Generator.
+
+    Philox4x64-10 of counter block 1 (numpy increments the counter before its
+    first block) under the 128-bit key ``seed``, low word first; the first
+    output word ``x`` becomes ``(x >> 11) * 2**-53``, as numpy's ``random()``.
+    """
+    k0, k1 = seed & _MASK64, seed >> 64
+    c0, c1, c2, c3 = 1, 0, 0, 0
+    for _ in range(10):
+        p0 = 0xD2E7470EE14C6C93 * c0
+        p1 = 0xCA5A826395121157 * c2
+        c0, c1, c2, c3 = (p1 >> 64) ^ c1 ^ k0, p1 & _MASK64, (p0 >> 64) ^ c3 ^ k1, p0 & _MASK64
+        k0 = (k0 + 0x9E3779B97F4A7C15) & _MASK64
+        k1 = (k1 + 0xBB67AE8584CAA73B) & _MASK64
+    return (c0 >> 11) * 2.0**-53
+
+
+def _result(beam: np.ndarray, outcome: BellLabel, probability: float, neutron_pre: Ket,
             policy: CorrectionPolicy) -> TeleportResult:
     """Correct only a psi- outcome; the experiment discards the others uncorrected."""
     neutron_post = fidelity_post = None
     if outcome is BellLabel.PSI_MINUS:
-        neutron_post = spinalg.apply(policy.operator, neutron_pre)
-        fidelity_post = fidelity(beam, neutron_post)
+        neutron_post = Ket(policy.operator.entries @ neutron_pre.amplitudes)
+        fidelity_post = _fidelity(beam, neutron_post.amplitudes)
     return TeleportResult(
         outcome=outcome,
         probability=probability,
         neutron_pre=neutron_pre,
         neutron_post=neutron_post,
-        fidelity_pre=fidelity(beam, neutron_pre),
+        fidelity_pre=_fidelity(beam, neutron_pre.amplitudes),
         fidelity_post=fidelity_post,
     )
 
 
 def run_postselected(s: BeamState, policy: CorrectionPolicy = SIGMA_Z) -> TeleportResult:
     """Run the protocol keeping only the discriminated psi- outcome."""
-    beam = prepare_beam(s)
-    probability, neutron_pre = bellkit.project_bell(spinalg.tensor(beam, _DEUTERON), BellLabel.PSI_MINUS)
-    return _result(beam, BellLabel.PSI_MINUS, probability, neutron_pre, policy)
+    beam = np.array([s.a, s.b], dtype=complex)
+    probability, neutron_pre = bellkit._project(_tensor(beam, _DEUTERON.amplitudes), BellLabel.PSI_MINUS)
+    return _result(beam, BellLabel.PSI_MINUS, probability, Ket(neutron_pre), policy)
 
 
 def run_sampled(s: BeamState, policy: CorrectionPolicy, seed: int) -> TeleportResult:
@@ -193,6 +229,6 @@ def run_sampled(s: BeamState, policy: CorrectionPolicy, seed: int) -> TeleportRe
     beam = prepare_beam(s)
     decomposition = bellkit.decompose_12(spinalg.tensor(beam, _DEUTERON))
     probs = [decomposition.probability(label) for label in BELL_ORDER]
-    outcome = BELL_ORDER[int(index_from_uniform(_philox(seed).random(), probs))]
+    outcome = BELL_ORDER[int(index_from_uniform(_philox_first_uniform(seed), probs))]
     branch = decomposition.branches[outcome]
-    return _result(beam, outcome, branch.probability, branch.conditional, policy)
+    return _result(beam.amplitudes, outcome, branch.probability, branch.conditional, policy)

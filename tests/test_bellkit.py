@@ -170,6 +170,15 @@ class TestDecompose:
         with pytest.raises(NormalizationError):
             decompose_12(Ket([1, 0, 0, 0, 0, 0, 0, 1]))
 
+    def test_boundary_errors(self):
+        # the dimension is checked at the boundary, before the core's normalization test
+        for bad_dim in (Ket([1, 0, 0, 0]), Ket([1, 1])):
+            with pytest.raises(DimensionError):
+                decompose_12(bad_dim)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(NormalizationError):
+                decompose_12(Ket([bad] + [0] * 7))
+
     def test_nan_coefficients_are_rejected(self):
         # BellDecomposition is public: its own sum check must refuse NaN, not only decompose_12's input check.
         with pytest.raises(NormalizationError):
@@ -228,6 +237,21 @@ class TestProjectBell:
         for label in (BellLabel.PSI_PLUS, BellLabel.PSI_MINUS, BellLabel.PHI_PLUS):
             with pytest.raises(ZeroProbabilityError):
                 project_bell(psi, label)
+
+    def test_boundary_errors(self):
+        for bad_dim in (Ket([1, 0, 0, 0]), Ket([1, 1, 0, 0])):
+            with pytest.raises(DimensionError):
+                project_bell(bad_dim, BellLabel.PSI_MINUS)
+        # a branch above the zero-norm floor but with probability below 1e-14 is
+        # split by the decomposition, yet refused as a measurement outcome
+        singlet_amplitude = 1e-8
+        psi = Ket(
+            np.sqrt(1 - singlet_amplitude**2) * np.kron(BELL_ARRAYS[BellLabel.PSI_PLUS], [1, 0])
+            + singlet_amplitude * np.kron(BELL_ARRAYS[BellLabel.PSI_MINUS], [0, 1])
+        )
+        assert decompose_12(psi).branches[BellLabel.PSI_MINUS].defined
+        with pytest.raises(ZeroProbabilityError):
+            project_bell(psi, BellLabel.PSI_MINUS)
 
     def test_agrees_with_projector_route(self):
         # oracle: apply the singlet projector, renormalize, trace out the pair

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from spinport import cli
 from spinport.reaction import ExperimentConfig, TargetSpec, event_records, predict, simulate
-from spinport.teleport import SIGMA_Z, BeamState, run_sampled
+from spinport.teleport import SIGMA_Z, BeamState, _philox, _philox_first_uniform, run_sampled
 
 # Derandomized and without an example database: the same examples on every
 # run, and nothing written next to the sources.
@@ -124,3 +124,9 @@ def test_config_and_run_sampled_accept_the_same_seeds(seed):
     ]
     assert (errors[0] is None) == (errors[1] is None)
     assert all("seed" in error for error in errors if error is not None)
+
+
+@PROPERTY
+@given(st.integers(0, 2**128 - 1))
+def test_the_pure_python_first_draw_is_numpys(seed):
+    assert _philox_first_uniform(seed) == _philox(seed).random()

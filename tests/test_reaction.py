@@ -124,6 +124,18 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="seed .* outside"):
             config(seed=2**1100)
 
+    def test_default_axes_are_validated_once(self, monkeypatch):
+        assert [axis.tolist() for axis in reaction._DEFAULT_AXES] == [list(v) for v in reaction.AXIS_VECTORS.values()]
+        assert not any(axis.flags.writeable for axis in reaction._DEFAULT_AXES)
+        checked = []
+        real = reaction.unit_vector
+        monkeypatch.setattr(reaction, "unit_vector", lambda value, what: checked.append(what) or real(value, what))
+        assert config().analyzer_axes is reaction._DEFAULT_AXES
+        assert checked == ["beam_direction"]
+        # an equal but supplied tuple is still checked, axis by axis
+        config(analyzer_axes=tuple(reaction.AXIS_VECTORS.values()))
+        assert checked == ["beam_direction"] * 2 + ["analyzer axis"] * 3
+
     def test_beam_bloch(self):
         c = config(beam_direction=X, beam_magnitude=0.5)
         assert np.allclose(c.beam_bloch(), [0.5, 0, 0])
@@ -357,6 +369,28 @@ class TestAcceptance:
         finally:
             tracemalloc.stop()
         assert peak < 16e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
+
+    @pytest.mark.parametrize("draw", ("simulate", "event_records"))
+    def test_each_chunk_is_released_before_the_next_is_drawn(self, draw):
+        # Over several chunks the peak stays near one chunk's working set, about
+        # two blocks of its uniforms (chunk x 4 float64); holding the previous
+        # chunk while drawing the next one peaked at ~2.8 blocks (simulate) and
+        # ~3.3 blocks (event_records).
+        chunk = 4096
+        c = config(events=6 * chunk + 17, seed=11)
+        run = {
+            "simulate": lambda: simulate(c, chunk_size=chunk),
+            "event_records": lambda: sum(1 for _ in event_records(c, chunk_size=chunk)),
+        }[draw]
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block = chunk * 4 * 8
+        assert peak < 2.5 * block, f"tracemalloc peak {peak / block:.2f} uniform blocks"
 
     def test_event_record_validation(self):
         with pytest.raises(ValueError):

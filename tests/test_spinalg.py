@@ -136,6 +136,12 @@ class TestTensor:
         with pytest.raises(DimensionError):
             tensor(Ket(PSI_PLUS), Ket(PSI_PLUS))
 
+    def test_dimension_overflow_with_a_three_particle_factor(self):
+        three = Ket([1] + [0] * 7)
+        for a, b in ((three, Ket([1, 0])), (Ket([1, 0]), three)):
+            with pytest.raises(DimensionError):
+                tensor(a, b)
+
 
 class TestInner:
     def test_orthogonal_basis_states(self):
@@ -176,6 +182,10 @@ class TestApply:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             apply(pauli("z"), Ket(PSI_PLUS))
+
+    def test_operator_larger_than_the_state(self):
+        with pytest.raises(DimensionError):
+            apply(Operator(np.eye(4)), Ket([1, 0]))
 
 
 class TestNormalize:

@@ -27,6 +27,7 @@ from spinport.teleport import (
     SIGMA_Z,
     BeamState,
     CorrectionPolicy,
+    _philox_first_uniform,
     compose,
     fidelity,
     prepare_beam,
@@ -143,6 +144,10 @@ class TestCorrection:
         with pytest.raises(SpinAlgebraError):
             CorrectionPolicy.custom(Operator([[1, 0], [0, 2]]))
 
+    def test_custom_policy_rejects_a_two_particle_operator(self):
+        with pytest.raises(SpinAlgebraError):
+            CorrectionPolicy.custom(Operator(np.eye(4)))
+
     def test_parse(self):
         assert CorrectionPolicy.parse("ry_pi") == RY_PI
         with pytest.raises(SpinAlgebraError):
@@ -172,6 +177,20 @@ class TestFidelity:
             fidelity(Ket([1, 1]), Ket([1, 0]))
         with pytest.raises(DimensionError):
             fidelity(Ket([1, 0]), prepare_deuteron())
+
+    def test_boundary_errors(self):
+        for bad in (Ket([1, 1]), Ket([np.nan, 0]), Ket([np.inf, 0])):
+            with pytest.raises(NormalizationError):
+                fidelity(Ket([1, 0]), bad)
+        # the dimensions are checked first, at the boundary
+        with pytest.raises(DimensionError):
+            fidelity(Ket([1, 1, 0, 0]), Ket([1, 1]))
+
+
+def near_unitary_policy() -> CorrectionPolicy:
+    """A custom correction inside the 1e-12 unitarity tolerance that stretches (1, 1)/sqrt(2) by 1.8e-12 in squared
+    norm: past the normalization tolerance that ``fidelity`` applies to the corrected state."""
+    return CorrectionPolicy.custom(Operator(np.eye(2) + 0.45e-12 * np.ones((2, 2))))
 
 
 class TestRunPostselected:
@@ -210,6 +229,14 @@ class TestRunPostselected:
             p_beam = beam.bloch().as_array()
             p_neutron = bloch_from(density_from(result.neutron_pre)).as_array()
             assert np.allclose(p_neutron, [-p_beam[0], -p_beam[1], p_beam[2]], atol=1e-12)
+
+    def test_fidelity_checks_the_corrected_state(self):
+        policy = near_unitary_policy()
+        # the -x beam leaves (1, 1)/sqrt(2) on the neutron; the +x beam leaves (1, -1)/sqrt(2), which the
+        # near-identity policy keeps exactly, still orthogonal to the beam
+        with pytest.raises(NormalizationError):
+            run_postselected(AXIS_BEAMS["-x"], policy)
+        assert run_postselected(AXIS_BEAMS["x"], policy).fidelity_post == pytest.approx(0.0, abs=1e-12)
 
     def test_ry_pi_axis_scan(self):
         # the pi rotation about y recovers x-axis beams and nothing else
@@ -253,6 +280,15 @@ class TestRunSampled:
     def test_seed_is_validated_by_name(self, bad):
         with pytest.raises(ValueError, match="seed"):
             run_sampled(AXIS_BEAMS["y"], SIGMA_Z, bad)
+
+    def test_fidelity_checks_only_a_corrected_state(self):
+        policy = near_unitary_policy()
+        for seed in range(8):
+            if run_sampled(AXIS_BEAMS["-x"], SIGMA_Z, seed).outcome is BellLabel.PSI_MINUS:
+                with pytest.raises(NormalizationError):
+                    run_sampled(AXIS_BEAMS["-x"], policy, seed)
+            else:
+                assert run_sampled(AXIS_BEAMS["-x"], policy, seed).neutron_post is None
 
     def test_outcome_frequencies_are_uniform(self):
         counts = {label: 0 for label in BELL_ORDER}
@@ -314,3 +350,55 @@ class TestBitIdentityWithOraclePath:
                 post = SIGMA_Z.operator.entries @ pre
                 assert result.neutron_post.amplitudes.tobytes() == post.tobytes()
                 assert result.fidelity_post == oracle_fidelity(beam, post)
+
+    def test_run_postselected_random_beams(self):
+        for s, _ in random_oracle_runs():
+            beam, branches = oracle_branches(s)
+            probability, pre = branches[BellLabel.PSI_MINUS]
+            for policy in POLICIES.values():
+                result = run_postselected(s, policy)
+                post = policy.operator.entries @ pre
+                assert result.probability == probability
+                assert result.neutron_pre.amplitudes.tobytes() == pre.tobytes()
+                assert result.neutron_post.amplitudes.tobytes() == post.tobytes()
+                assert (result.fidelity_pre, result.fidelity_post) == (
+                    oracle_fidelity(beam, pre), oracle_fidelity(beam, post))
+
+    def test_run_sampled_random_beams_over_the_whole_seed_range(self):
+        outcomes = set()
+        for s, seed in random_oracle_runs():
+            beam, branches = oracle_branches(s)
+            probs = [branches[label][0] for label in BELL_ORDER]
+            u = np.random.Generator(np.random.Philox(key=seed)).random()
+            outcome = BELL_ORDER[min(int(np.searchsorted(np.cumsum(probs), u, side="right")), 3)]
+            probability, pre = branches[outcome]
+            result = run_sampled(s, SIGMA_Z, seed)
+            assert (result.outcome, result.probability) == (outcome, probability)
+            assert result.neutron_pre.amplitudes.tobytes() == pre.tobytes()
+            assert result.fidelity_pre == oracle_fidelity(beam, pre)
+            if outcome is BellLabel.PSI_MINUS:
+                post = SIGMA_Z.operator.entries @ pre
+                assert result.neutron_post.amplitudes.tobytes() == post.tobytes()
+                assert result.fidelity_post == oracle_fidelity(beam, post)
+            outcomes.add(outcome)
+        assert outcomes == set(BELL_ORDER)
+
+
+def random_oracle_runs() -> list[tuple[BeamState, int]]:
+    """400 random beams, each with a sampling seed drawn from the whole key range [0, 2**128)."""
+    rng = np.random.default_rng(1512)
+    return [(random_beam(rng), int.from_bytes(rng.bytes(16), "little")) for _ in range(400)]
+
+
+class TestFirstUniform:
+    # run_sampled's one uniform, computed without a Generator, must be the one numpy's Philox draws first
+    EDGE_SEEDS = (0, 1, 2**32, 2**64 - 1, 2**64, 2**64 + 1, 2**127, 2**128 - 1)
+
+    def test_equals_numpy_philox(self):
+        rng = np.random.default_rng(6000)
+        # 64-bit keys leave the high key word 0; 128-bit keys fill both
+        wide = (int.from_bytes(rng.bytes(n), "little") for n in [8] * 2500 + [16] * 2500)
+        seeds = [*self.EDGE_SEEDS, *range(1000), *wide]
+        assert len(seeds) >= 6000
+        for seed in seeds:
+            assert _philox_first_uniform(seed) == np.random.Generator(np.random.Philox(key=seed)).random(), seed
