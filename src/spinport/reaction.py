@@ -296,16 +296,19 @@ def _event_columns(config: ExperimentConfig, chunk_size: int) -> Iterator[tuple]
     blochs = np.stack([np.broadcast_to(background, branches.shape), branches])
     p_up = np.clip(0.5 * (1.0 + np.einsum("csj,aj->csa", blochs, axes)), 0.0, 1.0)
 
+    # One uniforms buffer for the run: a fresh block per chunk, freed whole
+    # before the next draw, went back to the OS and was faulted in again.
+    block = np.empty((min(chunk_size, config.events), 4))
     for start in range(0, config.events, chunk_size):
         stop = min(start + chunk_size, config.events)
-        uniforms = _philox(config.seed, start).random((stop - start, 4))
+        uniforms = _philox(config.seed, start).random(out=block[: stop - start])
         teleported = uniforms[:, 0] < p_teleported
         slot = np.asarray(index_from_uniform(uniforms[:, 1], _BELL_WEIGHTS))
         accepted = slot == _SINGLET_INDEX
         axis_index = np.arange(start, stop) % len(axes)
         spin = np.where(uniforms[:, 2] < p_up[teleported.astype(np.intp), slot, axis_index], 1, -1)
         # Hold no chunk while the next one is drawn: the caller frees what it was given.
-        del uniforms, teleported, slot
+        del teleported, slot
         yield start, accepted, axis_index, spin
         del accepted, axis_index, spin
 

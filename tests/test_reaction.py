@@ -373,9 +373,9 @@ class TestAcceptance:
     @pytest.mark.parametrize("draw", ("simulate", "event_records"))
     def test_each_chunk_is_released_before_the_next_is_drawn(self, draw):
         # Over several chunks the peak stays near one chunk's working set, about
-        # two blocks of its uniforms (chunk x 4 float64); holding the previous
-        # chunk while drawing the next one peaked at ~2.8 blocks (simulate) and
-        # ~3.3 blocks (event_records).
+        # 2.1 (simulate) and 2.3 (event_records) blocks of its uniforms (chunk x
+        # 4 float64); holding the previous chunk while drawing the next one
+        # peaked at ~2.8 and ~3.3 blocks.
         chunk = 4096
         c = config(events=6 * chunk + 17, seed=11)
         run = {
