@@ -21,6 +21,8 @@ teleported spin state by the conventional one; it does not depolarize it.
 The Monte Carlo tabulates ``predict``'s channel model once per run as
 ``p_up[channel, slot, axis]``; events index it with uniforms drawn as
 ``teleport._philox`` documents, bit-identical however the loop is chunked.
+``simulate`` samples the spin only of the events the selection accepts;
+``event_records`` samples every event.
 """
 
 from __future__ import annotations
@@ -274,17 +276,20 @@ class PolarimetryEstimate:
         return cls(axis=axis, p_hat=p_hat, sigma=float(np.sqrt((1.0 - p_hat**2) / n)), n_events=n)
 
 
-def _event_columns(config: ExperimentConfig, chunk_size: int) -> Iterator[tuple]:
+def _event_columns(config: ExperimentConfig, chunk_size: int, *, accepted_only: bool = False) -> Iterator[tuple]:
     """Sample the event stream; yield ``(first_id, accepted, axis_index, spin)`` per chunk.
 
     ``predict``'s channel model becomes one per-run table ``p_up[channel,
     slot, axis] = (1 + P.axis)/2``, P the conventional vector (channel 0) or
-    Bell branch ``slot`` (channel 1). Per event one uniform draws the channel
-    (teleported with probability w), one the Bell slot, whose singlet passes
-    the neutron-energy selection (1/4 on both channels), and one the spin
-    along the event's analyzer axis (round-robin by event id): +1 with
-    probability ``p_up``. Each event draws its own ``teleport._philox`` block,
-    so any ``chunk_size`` yields bit-identical columns, redrawn, not stored.
+    Bell branch ``slot`` (channel 1). Every event's slot uniform draws its Bell
+    slot, whose singlet passes the neutron-energy selection (1/4 on both
+    channels). One rule then gives each row its channel (teleported when its
+    channel uniform is below w), its analyzer axis (round-robin by event id)
+    and its spin along that axis (+1 when its spin uniform is below ``p_up``).
+    ``accepted_only`` applies the rule to the accepted rows alone and yields
+    ``accepted`` as ``True``; otherwise every row is yielded. Each event draws
+    its own ``teleport._philox`` block, so any ``chunk_size`` yields
+    bit-identical columns, redrawn, not stored.
     """
     if config.seed is None:
         raise ValueError("simulate requires an explicit seed")
@@ -302,13 +307,19 @@ def _event_columns(config: ExperimentConfig, chunk_size: int) -> Iterator[tuple]
     for start in range(0, config.events, chunk_size):
         stop = min(start + chunk_size, config.events)
         uniforms = _philox(config.seed, start).random(out=block[: stop - start])
-        teleported = uniforms[:, 0] < p_teleported
-        slot = np.asarray(index_from_uniform(uniforms[:, 1], _BELL_WEIGHTS))
+        slot = index_from_uniform(uniforms[:, 1], _BELL_WEIGHTS)
+        if accepted_only:
+            event_id = np.flatnonzero(slot == _SINGLET_INDEX)
+            uniforms, slot = uniforms[event_id], _SINGLET_INDEX
+            event_id += start
+        else:
+            event_id = np.arange(start, stop)
         accepted = slot == _SINGLET_INDEX
-        axis_index = np.arange(start, stop) % len(axes)
+        axis_index = event_id % len(axes)
+        teleported = uniforms[:, 0] < p_teleported
         spin = np.where(uniforms[:, 2] < p_up[teleported.astype(np.intp), slot, axis_index], 1, -1)
         # Hold no chunk while the next one is drawn: the caller frees what it was given.
-        del teleported, slot
+        del uniforms, event_id, teleported, slot
         yield start, accepted, axis_index, spin
         del accepted, axis_index, spin
 
@@ -316,13 +327,14 @@ def _event_columns(config: ExperimentConfig, chunk_size: int) -> Iterator[tuple]
 def simulate(config: ExperimentConfig, *, chunk_size: int = _DEFAULT_CHUNK) -> list[PolarimetryEstimate]:
     """Per-axis polarization estimates from the accepted events' n+ and n-.
 
-    The counts are summed chunk by chunk; no per-event data is kept.
+    Only the accepted events' spins are sampled, and the counts are summed
+    chunk by chunk; no per-event data is kept.
     """
     n_axes = len(config.analyzer_axes)
     counts = np.zeros(2 * n_axes, dtype=np.int64)  # n+ of each axis, then n-
-    for _, accepted, axis_index, spin in _event_columns(config, chunk_size):
-        counts += np.bincount(axis_index[accepted] + n_axes * (spin[accepted] < 0), minlength=2 * n_axes)
-        del accepted, axis_index, spin
+    for _, _, axis_index, spin in _event_columns(config, chunk_size, accepted_only=True):
+        counts += np.bincount(axis_index + n_axes * (spin < 0), minlength=2 * n_axes)
+        del axis_index, spin
     n_plus, n_minus = counts.reshape(2, n_axes).tolist()
     return [PolarimetryEstimate.from_counts(*counted) for counted in zip(config.analyzer_axes, n_plus, n_minus)]
 

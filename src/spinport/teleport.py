@@ -18,7 +18,9 @@ the value-object path still runs there, as an array test at the same point.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -155,12 +157,21 @@ def index_from_uniform(u, probabilities) -> np.ndarray | int:
     """Map uniform variates in [0, 1) to outcome indices by inverting the CDF.
 
     ``probabilities`` are taken in the given order; each variate selects the
-    first index whose cumulative probability exceeds it. Works on scalars
-    and arrays alike and consumes exactly one variate per draw.
+    first index whose cumulative probability exceeds it, capped at the last
+    index, which a NaN variate also selects. An ``ndarray`` of variates gives
+    an ``intp`` array, each entry the number of cumulative thresholds before
+    the last that the variate does not fall below; any other variate is a
+    scalar and gives an ``int`` by bisection in pure Python. Both paths add the
+    probabilities in sequence, as ``np.cumsum`` does, so their thresholds are
+    the same bits, and both consume exactly one variate per draw.
     """
-    cum = np.cumsum(np.asarray(probabilities, dtype=float))
-    idx = np.searchsorted(cum, u, side="right")
-    return np.minimum(idx, len(cum) - 1)
+    if not isinstance(u, np.ndarray):
+        cum = list(accumulate(map(float, probabilities)))
+        return min(bisect_right(cum, u), len(cum) - 1)
+    idx = np.zeros(u.shape, dtype=np.intp)
+    for threshold in np.cumsum(np.asarray(probabilities, dtype=float))[:-1]:
+        idx += ~(u < threshold)
+    return idx
 
 
 def _seed(value) -> int:
@@ -171,9 +182,10 @@ def _seed(value) -> int:
 
 
 def _philox(seed: int, counter: int = 0) -> np.random.Generator:
-    """The seeded stream: event ``i`` of ``reaction.simulate`` uses three of the four uniforms in the
-    block after counter ``i``; ``run_sampled`` takes the first uniform of event 0's block, computed by
-    ``_philox_first_uniform``."""
+    """The seeded stream: event ``i`` of the Monte Carlo owns the four uniforms in the block after counter
+    ``i``: channel, Bell slot, spin, unused. Every event reads its slot uniform; ``reaction.event_records``
+    reads all three, and ``reaction.simulate`` reads the channel and spin uniforms only of accepted events.
+    ``run_sampled`` takes the first uniform of event 0's block, computed by ``_philox_first_uniform``."""
     return np.random.Generator(np.random.Philox(key=seed, counter=counter))
 
 
