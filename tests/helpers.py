@@ -52,3 +52,8 @@ def oracle_decomposition(amplitudes: np.ndarray) -> dict:
         coefficient = complex(lead / abs(lead) * nrm)
         branches[label] = (abs(coefficient) ** 2, projected / coefficient)
     return branches
+
+
+def searchsorted_index(u, probabilities):
+    """The first-written CDF inversion, kept as the oracle of ``teleport.index_from_uniform``."""
+    return np.minimum(np.searchsorted(np.cumsum(probabilities), u, side="right"), len(probabilities) - 1)

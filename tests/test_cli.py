@@ -205,6 +205,21 @@ class TestSimulateCommand:
         assert cli.main(["simulate", "--seed", "7", "--events", "20000", "--format", fmt, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "fmt, events, digest",
+        [
+            ("csv", "150000", "cd7b2218253dbae219083eabc6bc84035f1354930fb06a83892cf4bc6a224a52"),
+            ("jsonl", "70000", "cded6ea88e65e387d78a921e35e1f743abd259ca3479b71cc6f3f89b3e7b575e"),
+        ],
+    )
+    def test_golden_digest_over_several_chunks(self, tmp_path, fmt, events, digest):
+        # Both runs span more than one 65536-event chunk, so the chunk
+        # boundaries of the default partition are pinned as well.
+        out = tmp_path / "run"
+        argv = ["simulate", "--seed", "7", "--events", events, "--axes", "x,z", "--epsilon", "0.3"]
+        assert cli.main(argv + ["--format", fmt, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_byte_identical_reruns(self, tmp_path):
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["simulate", "--events", "2000", "--seed", "7", "--beam", "y"]

@@ -6,9 +6,10 @@ import numpy as np
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from helpers import searchsorted_index
 from spinport import cli
-from spinport.reaction import ExperimentConfig, TargetSpec, event_records, predict, simulate
-from spinport.teleport import SIGMA_Z, BeamState, _philox, _philox_first_uniform, run_sampled
+from spinport.reaction import ExperimentConfig, PolarimetryEstimate, TargetSpec, event_records, predict, simulate
+from spinport.teleport import SIGMA_Z, BeamState, _philox, _philox_first_uniform, index_from_uniform, run_sampled
 
 # Derandomized and without an example database: the same examples on every
 # run, and nothing written next to the sources.
@@ -105,6 +106,34 @@ def test_simulate_and_event_records_do_not_depend_on_the_chunk_size(config, even
     chunked = simulate(config, chunk_size=chunk_size)
     assert list(map(_estimate_bits, chunked)) == list(map(_estimate_bits, simulate(config)))
     assert list(event_records(config, chunk_size=chunk_size)) == list(event_records(config))
+
+
+@PROPERTY
+@given(configs, st.integers(1, 400), st.integers(0, 2**128 - 1), st.integers(1, 150), st.integers(1, 150))
+def test_simulate_counts_the_accepted_event_records(config, events, seed, simulate_chunk, records_chunk):
+    # simulate samples only the accepted events; event_records samples every
+    # event, and its accepted records must tally to the same n+ and n-.
+    config = dataclasses.replace(config, events=events, seed=seed)
+    counts = np.zeros((len(config.analyzer_axes), 2), dtype=int)
+    for record in event_records(config, chunk_size=records_chunk):
+        if record.accepted:
+            counts[record.axis_index, int(record.spin_outcome < 0)] += 1
+    tallied = [PolarimetryEstimate.from_counts(axis, *n) for axis, n in zip(config.analyzer_axes, counts.tolist())]
+    assert list(map(_estimate_bits, simulate(config, chunk_size=simulate_chunk))) == list(map(_estimate_bits, tallied))
+
+
+@PROPERTY
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8), st.lists(st.floats(), max_size=16))
+def test_index_from_uniform_inverts_the_cdf_as_searchsorted_does(weights, variates):
+    total = sum(weights)
+    probabilities = [w / total for w in weights] if total > 0.0 else weights
+    cum = np.cumsum(probabilities)
+    u = np.concatenate([variates, cum, np.nextafter(cum, -np.inf), np.nextafter(cum, np.inf)])
+    expected = searchsorted_index(u, probabilities)
+    uniforms = np.zeros((len(u), 4))
+    uniforms[:, 1] = u
+    assert np.array_equal(index_from_uniform(uniforms[:, 1], np.array(probabilities)), expected)
+    assert [index_from_uniform(variate, probabilities) for variate in u.tolist()] == expected.tolist()
 
 
 def _seed_error(build) -> str | None:

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import BELL_ARRAYS, oracle_decomposition, random_beam
+from helpers import BELL_ARRAYS, oracle_decomposition, random_beam, searchsorted_index
 from spinport.bellkit import BELL_ORDER, BellLabel, decompose_12
 from spinport.spinalg import (
     DimensionError,
@@ -30,6 +30,7 @@ from spinport.teleport import (
     _philox_first_uniform,
     compose,
     fidelity,
+    index_from_uniform,
     prepare_beam,
     prepare_deuteron,
     run_postselected,
@@ -402,3 +403,44 @@ class TestFirstUniform:
         assert len(seeds) >= 6000
         for seed in seeds:
             assert _philox_first_uniform(seed) == np.random.Generator(np.random.Philox(key=seed)).random(), seed
+
+
+class TestIndexFromUniform:
+    PROBABILITIES = (
+        [0.25] * 4,
+        [0.1, 0.2, 0.3, 0.4],
+        [0.0, 0.5, 0.0, 0.5],
+        [0.5, 0.5, 0.0, 0.0],
+        [0.0, 0.0, 1.0],
+        [1.0],
+    )
+
+    @staticmethod
+    def variates(probabilities) -> np.ndarray:
+        # Every threshold k/4 and of the vector itself, with its floating-point
+        # neighbours, the ends of [0, 1] and the non-finite values.
+        thresholds = np.concatenate([np.arange(5) / 4, np.cumsum(probabilities)])
+        return np.concatenate([
+            thresholds,
+            np.nextafter(thresholds, -np.inf),
+            np.nextafter(thresholds, np.inf),
+            [0.0, -0.0, 1.0, np.nan, np.inf, -np.inf, 0.6],
+        ])
+
+    @pytest.mark.parametrize("probabilities", PROBABILITIES)
+    def test_scalars_give_the_oracle_index_as_an_int(self, probabilities):
+        for u in self.variates(probabilities):
+            expected = int(searchsorted_index(u, probabilities))
+            for variate in (float(u), np.float64(u)):
+                index = index_from_uniform(variate, probabilities)
+                assert type(index) is int
+                assert index == expected, (variate, probabilities)
+
+    @pytest.mark.parametrize("probabilities", PROBABILITIES)
+    def test_a_strided_column_gives_the_oracle_indices_as_intp(self, probabilities):
+        u = self.variates(probabilities)
+        uniforms = np.zeros((len(u), 4))
+        uniforms[:, 1] = u
+        index = index_from_uniform(uniforms[:, 1], np.array(probabilities))
+        assert index.dtype == np.intp
+        assert np.array_equal(index, searchsorted_index(u, probabilities))
