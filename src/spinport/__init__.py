@@ -16,7 +16,6 @@ from .bellkit import (
     ZeroProbabilityError,
     bell_states,
     decompose_12,
-    outcome_probability,
     project_bell,
     singlet_projector,
 )
@@ -29,7 +28,6 @@ from .reaction import (
     PolarimetryEstimate,
     TargetSpec,
     acceptance_fraction,
-    channel_purity,
     correlation_table,
     event_records,
     predict,
@@ -49,7 +47,6 @@ from .spinalg import (
     apply,
     bloch_from,
     density_from,
-    inner,
     ket_from_direction,
     normalize,
     partial_trace,
@@ -64,7 +61,6 @@ from .teleport import (
     BeamState,
     CorrectionPolicy,
     TeleportResult,
-    compose,
     fidelity,
     prepare_beam,
     prepare_deuteron,
@@ -77,19 +73,19 @@ __all__ = [
     # spinalg
     "Ket", "Operator", "DensityMatrix", "BlochVector",
     "SpinAlgebraError", "DimensionError", "ZeroStateError", "NormalizationError", "InvariantError",
-    "tensor", "inner", "apply", "normalize", "density_from", "partial_trace",
+    "tensor", "apply", "normalize", "density_from", "partial_trace",
     "pauli", "rotation", "bloch_from", "ket_from_direction",
     # bellkit
     "BellLabel", "BELL_ORDER", "BellBranch", "BellDecomposition", "ZeroProbabilityError",
-    "bell_states", "decompose_12", "outcome_probability", "project_bell", "singlet_projector",
+    "bell_states", "decompose_12", "project_bell", "singlet_projector",
     # teleport
     "BeamState", "CorrectionPolicy", "TeleportResult",
     "NO_CORRECTION", "SIGMA_Z", "RY_PI",
-    "prepare_deuteron", "prepare_beam", "compose", "fidelity",
+    "prepare_deuteron", "prepare_beam", "fidelity",
     "run_postselected", "run_sampled",
     # reaction
     "TargetSpec", "IDEAL_TARGET", "ExperimentConfig", "ModelPrediction",
     "CorrelationRow", "EventRecord", "PolarimetryEstimate",
-    "target_moments", "channel_purity", "predict", "correlation_table",
+    "target_moments", "predict", "correlation_table",
     "simulate", "event_records", "acceptance_fraction",
 ]

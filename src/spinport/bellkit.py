@@ -174,11 +174,6 @@ def decompose_12(psi: Ket) -> BellDecomposition:
     return BellDecomposition(dict(zip(BELL_ORDER, map(_split_branch, _project_12(_three_particles(psi))))))
 
 
-def outcome_probability(psi: Ket, b: BellLabel) -> float:
-    """Born probability of finding particles (1, 2) in Bell state ``b``."""
-    return decompose_12(psi).probability(b)
-
-
 def project_bell(psi: Ket, b: BellLabel) -> tuple[float, Ket]:
     """Probability of outcome ``b`` and the normalized post-measurement particle-3 state."""
     probability, conditional = _project(_three_particles(psi), b)

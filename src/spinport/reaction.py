@@ -19,10 +19,8 @@ exactly that post-selection contamination. Contamination replaces the
 teleported spin state by the conventional one; it does not depolarize it.
 
 The Monte Carlo tabulates ``predict``'s channel model once per run as
-``p_up[channel, slot, axis]``; events index it with uniforms drawn as
-``teleport._philox`` documents, bit-identical however the loop is chunked.
-``simulate`` samples the spin only of the events the selection accepts;
-``event_records`` samples every event.
+``p_up[channel, slot, axis]``; events index it with the uniforms of their own
+``teleport._philox`` block, bit-identical however the loop is chunked.
 """
 
 from __future__ import annotations
@@ -99,11 +97,6 @@ def target_moments(t: TargetSpec) -> tuple[float, float]:
     return t.p_plus - t.p_minus, t.p_plus + t.p_minus - 2.0 * t.p_zero
 
 
-def channel_purity(t: TargetSpec) -> float:
-    """Fraction of the target ensemble in the m=0 teleportation channel."""
-    return t.p_zero
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Resolved parameters of one prediction or simulation run.
@@ -162,14 +155,14 @@ class ModelPrediction:
 def _channel_model(config: ExperimentConfig) -> tuple[float, np.ndarray, np.ndarray]:
     """Channel weight w, conventional Bloch vector, and each Bell branch's Bloch vector in ``BELL_ORDER``."""
     beam = config.beam_bloch()
-    w = channel_purity(config.target) * (1.0 - config.epsilon)
+    w = config.target.p_zero * (1.0 - config.epsilon)
     return w, np.array([0.0, config.k_transfer * beam[1], 0.0]), _BRANCH_SIGNS * beam
 
 
 def predict(config: ExperimentConfig) -> ModelPrediction:
     """Analytic neutron polarization for both models.
 
-    With beam polarization P, channel weight w = purity * (1 - epsilon):
+    With beam polarization P, channel weight w = p_zero * (1 - epsilon):
 
         conventional = (0, k * P_y, 0)
         teleported   = w * (-P_x, -P_y, P_z) + (1 - w) * conventional
@@ -212,15 +205,14 @@ def correlation_table(config: ExperimentConfig, axes: Sequence[str] = ("x", "y",
         direction = np.array(AXIS_VECTORS[name])
         prediction = predict(dataclasses.replace(config, beam_direction=direction))
         beam = BlochVector(*(config.beam_magnitude * direction))
-        along = float(direction @ prediction.qt_bloch.as_array())
-        beam_along = float(direction @ beam.as_array())
+        along = float(direction @ prediction.qt_bloch.as_array())  # the beam lies along +direction
         rows.append(
             CorrelationRow(
                 beam_axis=name,
                 beam=beam,
                 qt=prediction.qt_bloch,
                 conventional=prediction.conventional_bloch,
-                flipped=along * beam_along < 0.0,
+                flipped=along < 0.0,
                 note=_Y_NOTE if name == "y" else None,
             )
         )
@@ -281,15 +273,14 @@ def _event_columns(config: ExperimentConfig, chunk_size: int, *, accepted_only: 
 
     ``predict``'s channel model becomes one per-run table ``p_up[channel,
     slot, axis] = (1 + P.axis)/2``, P the conventional vector (channel 0) or
-    Bell branch ``slot`` (channel 1). Every event's slot uniform draws its Bell
-    slot, whose singlet passes the neutron-energy selection (1/4 on both
-    channels). One rule then gives each row its channel (teleported when its
-    channel uniform is below w), its analyzer axis (round-robin by event id)
-    and its spin along that axis (+1 when its spin uniform is below ``p_up``).
+    Bell branch ``slot`` (channel 1). Each event's uniforms, as
+    ``teleport._philox`` lays them out, draw its Bell slot, whose singlet
+    passes the neutron-energy selection (1/4 on both channels). One rule then
+    gives each row its channel (teleported below w), its analyzer axis
+    (round-robin by event id) and its spin along that axis (+1 below ``p_up``).
     ``accepted_only`` applies the rule to the accepted rows alone and yields
-    ``accepted`` as ``True``; otherwise every row is yielded. Each event draws
-    its own ``teleport._philox`` block, so any ``chunk_size`` yields
-    bit-identical columns, redrawn, not stored.
+    ``accepted`` as ``True``; otherwise every row is yielded. Any
+    ``chunk_size`` yields bit-identical columns, redrawn, not stored.
     """
     if config.seed is None:
         raise ValueError("simulate requires an explicit seed")
@@ -318,7 +309,8 @@ def _event_columns(config: ExperimentConfig, chunk_size: int, *, accepted_only: 
         axis_index = event_id % len(axes)
         teleported = uniforms[:, 0] < p_teleported
         spin = np.where(uniforms[:, 2] < p_up[teleported.astype(np.intp), slot, axis_index], 1, -1)
-        # Hold no chunk while the next one is drawn: the caller frees what it was given.
+        # Hold no chunk while the next one is drawn: the caller frees what it was given. Without any one del here
+        # or in event_records, test_each_chunk_is_released_before_the_next_is_drawn peaks at 2.6-2.9 > 2.5 blocks.
         del uniforms, event_id, teleported, slot
         yield start, accepted, axis_index, spin
         del accepted, axis_index, spin
@@ -327,14 +319,13 @@ def _event_columns(config: ExperimentConfig, chunk_size: int, *, accepted_only: 
 def simulate(config: ExperimentConfig, *, chunk_size: int = _DEFAULT_CHUNK) -> list[PolarimetryEstimate]:
     """Per-axis polarization estimates from the accepted events' n+ and n-.
 
-    Only the accepted events' spins are sampled, and the counts are summed
-    chunk by chunk; no per-event data is kept.
+    Only the accepted events are sampled (``teleport._philox`` says which
+    uniforms that reads); counts are summed chunk by chunk, no event is kept.
     """
     n_axes = len(config.analyzer_axes)
     counts = np.zeros(2 * n_axes, dtype=np.int64)  # n+ of each axis, then n-
     for _, _, axis_index, spin in _event_columns(config, chunk_size, accepted_only=True):
         counts += np.bincount(axis_index + n_axes * (spin < 0), minlength=2 * n_axes)
-        del axis_index, spin
     n_plus, n_minus = counts.reshape(2, n_axes).tolist()
     return [PolarimetryEstimate.from_counts(*counted) for counted in zip(config.analyzer_axes, n_plus, n_minus)]
 

@@ -230,13 +230,6 @@ def tensor(a: Ket, b: Ket) -> Ket:
     return Ket(_tensor(a.amplitudes, b.amplitudes))
 
 
-def inner(a: Ket, b: Ket) -> complex:
-    """Inner product <a|b> = sum_i conj(a_i) b_i."""
-    if a.dim != b.dim:
-        raise DimensionError(f"inner product needs equal dimensions, got {a.dim} and {b.dim}")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
 def apply(u: Operator, k: Ket) -> Ket:
     """Matrix-vector product ``u @ k``."""
     if u.dim != k.dim:
@@ -265,14 +258,18 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     """Reduced density matrix on the particles in ``keep``.
 
     Particles are labelled 1..n with particle 1 the most significant tensor
-    factor; ``keep`` must be a nonempty proper subset of those labels. The
-    kept particles retain their relative order.
+    factor; ``keep`` must be a nonempty proper subset of those labels, each an
+    int or an integral float, not a bool. The kept particles retain their relative order.
     """
     n = rho.n_particles
-    kept = sorted({int(i) for i in keep})
+    labels = list(keep)  # read an iterator once, so the error can name what it held
+    try:
+        kept = sorted({_integer(i, "particle label") for i in labels})
+    except ValueError:  # a bool, fraction, NaN or string label: refused below
+        kept = []
     if not kept or len(kept) >= n or any(i < 1 or i > n for i in kept):
         raise DimensionError(
-            f"keep={sorted(set(keep))!r} must be a nonempty proper subset of particle labels 1..{n}"
+            f"keep={labels!r} must be a nonempty proper subset of integer particle labels 1..{n}"
         )
     tensor_form = rho.entries.reshape([2] * (2 * n))
     row = "abc"[:n]

@@ -130,15 +130,6 @@ def prepare_beam(s: BeamState) -> Ket:
     return Ket([s.a, s.b])
 
 
-def compose(beam: Ket, deuteron: Ket) -> Ket:
-    """Full three-particle product state, beam as particle 1."""
-    if beam.dim != 2 or deuteron.dim != 4:
-        raise DimensionError(f"compose expects dims (2, 4), got ({beam.dim}, {deuteron.dim})")
-    if not (beam.is_normalized and deuteron.is_normalized):
-        raise NormalizationError("compose requires normalized inputs")
-    return spinalg.tensor(beam, deuteron)
-
-
 def _fidelity(x: np.ndarray, y: np.ndarray) -> float:
     """``fidelity`` of two dim-2 amplitude arrays, with its normalization test of both."""
     if not (_is_normalized(x) and _is_normalized(y)):

@@ -12,7 +12,6 @@ from spinport.bellkit import (
     ZeroProbabilityError,
     bell_states,
     decompose_12,
-    outcome_probability,
     project_bell,
     singlet_projector,
 )
@@ -187,15 +186,15 @@ class TestDecompose:
 
 class TestOutcomeProbability:
     def test_singlet_quarter_for_any_beam(self):
-        assert outcome_probability(protocol_input(1, 0), BellLabel.PSI_MINUS) == pytest.approx(0.25, abs=1e-12)
-        assert outcome_probability(protocol_input(SQRT_HALF, SQRT_HALF * 1j), BellLabel.PSI_MINUS) == pytest.approx(
+        assert decompose_12(protocol_input(1, 0)).probability(BellLabel.PSI_MINUS) == pytest.approx(0.25, abs=1e-12)
+        assert decompose_12(protocol_input(SQRT_HALF, SQRT_HALF * 1j)).probability(BellLabel.PSI_MINUS) == pytest.approx(
             0.25, abs=1e-12
         )
 
     def test_bell_product_inputs(self):
         psi = tensor(Ket(BELL_ARRAYS[BellLabel.PSI_PLUS]), Ket([1, 0]))
-        assert outcome_probability(psi, BellLabel.PSI_PLUS) == pytest.approx(1.0, abs=1e-12)
-        assert outcome_probability(psi, BellLabel.PHI_MINUS) == pytest.approx(0.0, abs=1e-12)
+        assert decompose_12(psi).probability(BellLabel.PSI_PLUS) == pytest.approx(1.0, abs=1e-12)
+        assert decompose_12(psi).probability(BellLabel.PHI_MINUS) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestProjectBell:

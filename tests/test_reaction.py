@@ -10,21 +10,19 @@ from helpers import random_unit_vector
 from spinport import reaction
 from spinport.bellkit import BELL_ORDER, BellLabel, bell_states, decompose_12
 from spinport.reaction import (
-    IDEAL_TARGET,
     EventRecord,
     ExperimentConfig,
     PolarimetryEstimate,
     TargetSpec,
     acceptance_fraction,
-    channel_purity,
     correlation_table,
     event_records,
     predict,
     simulate,
     target_moments,
 )
-from spinport.spinalg import bloch_from, density_from, pauli
-from spinport.teleport import BeamState, compose, prepare_beam, prepare_deuteron
+from spinport.spinalg import bloch_from, density_from, pauli, tensor
+from spinport.teleport import BeamState, prepare_beam, prepare_deuteron
 
 X, Y, Z = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)
 
@@ -52,11 +50,6 @@ class TestTargetSpec:
             TargetSpec(0.5, 0.6, 0.1)
         with pytest.raises(ValueError):
             TargetSpec(-0.1, 1.0, 0.1)
-
-    def test_channel_purity(self):
-        assert channel_purity(IDEAL_TARGET) == 1.0
-        assert channel_purity(TargetSpec(1 / 3, 1 / 3, 1 / 3)) == pytest.approx(1 / 3)
-        assert channel_purity(TargetSpec(0.05, 0.9, 0.05)) == pytest.approx(0.9)
 
     def test_moments_are_linear_and_bounded(self):
         rng = np.random.default_rng(60)
@@ -152,6 +145,16 @@ class TestPredict:
         prediction = predict(config(beam_direction=X, epsilon=0.0))
         assert prediction.qt_bloch.as_array() == pytest.approx([-1.0, 0.0, 0.0], abs=1e-12)
         assert prediction.conventional_bloch.as_array() == pytest.approx([0.0, 0.0, 0.0], abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "beam, epsilon, expected",
+        ((Y, 0.0, [0.0, -0.91, 0.0]), (Y, 0.5, [0.0, -0.505, 0.0]), (X, 0.2, [-0.72, 0.0, 0.0])),
+    )
+    def test_impure_target_closed_form(self, beam, epsilon, expected):
+        # w = p_zero * (1 - epsilon); teleported = w * (-Px, -Py, Pz) + (1 - w) * (0, k * Py, 0)
+        target = TargetSpec(0.05, 0.9, 0.05)
+        prediction = predict(config(beam_direction=beam, epsilon=epsilon, k_transfer=-0.1, target=target))
+        assert prediction.qt_bloch.as_array() == pytest.approx(expected, abs=1e-12)
 
     def test_unpolarized_beam(self):
         prediction = predict(config(beam_magnitude=0.0))
@@ -373,7 +376,7 @@ class TestAcceptance:
     @pytest.mark.parametrize("draw", ("simulate", "event_records"))
     def test_each_chunk_is_released_before_the_next_is_drawn(self, draw):
         # Over several chunks the peak stays near one chunk's working set, about
-        # 2.1 (simulate) and 2.3 (event_records) blocks of its uniforms (chunk x
+        # 1.7 (simulate) and 2.4 (event_records) blocks of its uniforms (chunk x
         # 4 float64); holding the previous chunk while drawing the next one
         # peaked at ~2.8 and ~3.3 blocks.
         chunk = 4096
@@ -429,7 +432,7 @@ class TestPhysicalTables:
             assert np.allclose(born_weights_from_density_matrix(mixed), reaction._BELL_WEIGHTS, atol=1e-12, rtol=0)
             assert np.allclose(born_weights_from_density_matrix(direction), reaction._BELL_WEIGHTS, atol=1e-12, rtol=0)
             beam = BeamState.from_direction(direction)
-            probabilities = decompose_12(compose(prepare_beam(beam), prepare_deuteron())).probabilities()
+            probabilities = decompose_12(tensor(prepare_beam(beam), prepare_deuteron())).probabilities()
             assert np.allclose(list(probabilities.values()), reaction._BELL_WEIGHTS, atol=1e-12, rtol=0)
 
     def test_branch_signs_match_decomposition_conditionals(self):
@@ -437,7 +440,7 @@ class TestPhysicalTables:
         for _ in range(200):
             n = random_unit_vector(rng)
             beam = BeamState.from_direction(n)
-            decomposition = decompose_12(compose(prepare_beam(beam), prepare_deuteron()))
+            decomposition = decompose_12(tensor(prepare_beam(beam), prepare_deuteron()))
             for signs, label in zip(reaction._BRANCH_SIGNS, BELL_ORDER):
                 conditional = bloch_from(density_from(decomposition.conditional(label))).as_array()
                 assert np.allclose(conditional, signs * n, atol=1e-12, rtol=0)

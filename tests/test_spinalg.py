@@ -1,5 +1,7 @@
 """Tests for the spin-1/2 linear algebra layer."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -18,7 +20,6 @@ from spinport.spinalg import (
     apply,
     bloch_from,
     density_from,
-    inner,
     ket_from_direction,
     normalize,
     partial_trace,
@@ -143,25 +144,6 @@ class TestTensor:
                 tensor(a, b)
 
 
-class TestInner:
-    def test_orthogonal_basis_states(self):
-        assert inner(Ket([1, 0]), Ket([0, 1])) == 0
-
-    def test_pair_state_normalization(self):
-        assert inner(Ket(PSI_PLUS), Ket(PSI_PLUS)) == pytest.approx(1.0, abs=1e-15)
-
-    def test_symmetric_antisymmetric_orthogonality(self):
-        psi_minus = np.array([0, SQRT_HALF, -SQRT_HALF, 0], dtype=complex)
-        # oracle: explicit sum of conj(a_i) * b_i
-        by_hand = sum(np.conj(PSI_PLUS[i]) * psi_minus[i] for i in range(4))
-        assert by_hand == pytest.approx(0.0, abs=1e-15)
-        assert inner(Ket(PSI_PLUS), Ket(psi_minus)) == pytest.approx(0.0, abs=1e-15)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            inner(Ket([1, 0]), Ket(PSI_PLUS))
-
-
 class TestApply:
     def test_sigma_z_diagonal_action(self):
         a, b = 0.6, 0.8
@@ -256,6 +238,16 @@ class TestPartialTrace:
         for bad in ([], [1, 2], [0], [3]):
             with pytest.raises(DimensionError):
                 partial_trace(rho, keep=bad)
+
+    @pytest.mark.parametrize(
+        "keep, shown",
+        (([1.7], "[1.7]"), ([True], "[True]"), ("12", "['1', '2']"), (iter([0]), "[0]"), ([np.nan], "[nan]")),
+        ids=("fraction", "bool", "string", "iterator", "nan"),
+    )
+    def test_refuses_non_integral_labels_and_names_them_as_given(self, keep, shown):
+        rho = density_from(tensor(Ket([1, 0]), Ket(PSI_PLUS)))
+        with pytest.raises(DimensionError, match=re.escape(f"keep={shown} ")):
+            partial_trace(rho, keep=keep)
 
     def test_trace_and_positivity_preserved(self):
         rng = np.random.default_rng(20260810)
