@@ -17,8 +17,10 @@ convention-free.
 Layering: ``decompose_12`` and ``project_bell`` check the dimension of their
 ``Ket`` at the boundary and wrap what they return; the ``_``-functions under
 them (``_project_12``, ``_split``, ``_project``) work on raw amplitude arrays
-and are what ``teleport``'s exact protocol calls. The normalization test and
-the zero-probability refusal live in that core, so every caller runs them.
+and are what ``teleport``'s exact protocol calls. Each value is tested once
+per call chain, in that core: ``_project_12`` tests the normalization of the
+three-particle state on every call, which is where ``teleport``'s exact
+protocol tests its beam, and ``_project`` refuses a zero-probability outcome.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .spinalg import (
     Operator,
     SpinAlgebraError,
     _is_normalized,
+    _norm,
 )
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
@@ -71,6 +74,7 @@ _BELL_AMPLITUDES = {
 _BELL_ROWS = np.array([[_BELL_AMPLITUDES[label].conj()] for label in BELL_ORDER])
 _BELL_ROWS.setflags(write=False)
 _BELL_INDEX = {label: row for row, label in enumerate(BELL_ORDER)}
+_BELL_LABELS = frozenset(BellLabel)
 
 
 def bell_states() -> dict[BellLabel, Ket]:
@@ -102,7 +106,7 @@ class BellDecomposition:
     branches: Mapping[BellLabel, BellBranch]
 
     def __post_init__(self) -> None:
-        if set(self.branches) != set(BellLabel):
+        if set(self.branches) != _BELL_LABELS:
             raise SpinAlgebraError("decomposition must carry exactly one branch per Bell label")
         total = sum(branch.probability for branch in self.branches.values())
         if not abs(total - 1.0) <= ATOL_ALGEBRA:
@@ -129,12 +133,16 @@ class BellDecomposition:
 
 def _split(projected: np.ndarray) -> tuple[complex, np.ndarray | None]:
     """Coefficient and normalized conditional of one projected row; ``(0j, None)`` when the row vanishes."""
-    nrm = float(np.linalg.norm(projected))
+    nrm = _norm(projected)
     if nrm <= ZERO_NORM:
         return 0j, None
     # first amplitude that is not numerical dust fixes the phase convention
-    lead = projected[0] if abs(projected[0]) > 1e-12 * nrm else projected[1]
-    coefficient = complex(lead / abs(lead) * nrm)
+    lead = projected[0]
+    modulus = abs(lead)
+    if not modulus > 1e-12 * nrm:
+        lead = projected[1]
+        modulus = abs(lead)
+    coefficient = complex(lead / modulus * nrm)
     return coefficient, projected / coefficient
 
 

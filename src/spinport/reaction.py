@@ -32,7 +32,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .bellkit import BELL_ORDER, BellLabel
-from .spinalg import BlochVector, _integer, unit_vector
+from .spinalg import BlochVector, _integer, _norm, _real, unit_vector
 from .teleport import _philox, _seed, index_from_uniform
 
 #: Denominator floor keeping the enhancement ratio finite when the
@@ -76,7 +76,7 @@ class TargetSpec:
 
     def __post_init__(self) -> None:
         for name in ("p_plus", "p_zero", "p_minus"):
-            value = float(getattr(self, name))
+            value = _real(getattr(self, name), name)
             object.__setattr__(self, name, value)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"target population {name} = {value} outside [0, 1]")
@@ -118,7 +118,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "beam_direction", unit_vector(self.beam_direction, "beam_direction"))
         for key in ("beam_magnitude", "epsilon", "k_transfer", "beam_energy_mev"):
-            object.__setattr__(self, key, float(getattr(self, key)))
+            object.__setattr__(self, key, _real(getattr(self, key), key))
         object.__setattr__(self, "events", _integer(self.events, "events"))
         object.__setattr__(self, "seed", None if self.seed is None else _seed(self.seed))
         if not 0.0 <= self.beam_magnitude <= 1.0:
@@ -170,10 +170,10 @@ def predict(config: ExperimentConfig) -> ModelPrediction:
     """
     w, conventional, branches = _channel_model(config)
     teleported = w * branches[_SINGLET_INDEX] + (1.0 - w) * conventional
-    enhancement = float(np.linalg.norm(teleported)) / max(float(np.linalg.norm(conventional)), ENHANCEMENT_FLOOR)
+    enhancement = _norm(teleported) / max(_norm(conventional), ENHANCEMENT_FLOOR)
     return ModelPrediction(
-        qt_bloch=BlochVector(*teleported),
-        conventional_bloch=BlochVector(*conventional),
+        qt_bloch=BlochVector(*teleported.tolist()),
+        conventional_bloch=BlochVector(*conventional.tolist()),
         enhancement=enhancement,
     )
 

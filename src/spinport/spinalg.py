@@ -26,6 +26,7 @@ Layering: public functions check value objects at the boundary and call the
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -63,11 +64,12 @@ class InvariantError(SpinAlgebraError):
 def _store_frozen(instance, field: str, ndim: int) -> np.ndarray:
     """Replace ``instance.<field>`` by a read-only complex copy: a vector or square matrix of dim 2, 4 or 8."""
     array = np.array(getattr(instance, field), dtype=complex)
-    if array.ndim != ndim or array.shape[0] != array.shape[-1]:
-        shape = "a 1-d vector" if ndim == 1 else "square"
-        raise DimensionError(f"{type(instance).__name__} {field} must be {shape}, got shape {array.shape}")
-    if array.shape[0] not in _VALID_DIMS:
-        raise DimensionError(f"{type(instance).__name__}: dimension must be one of {_VALID_DIMS}, got {array.shape[0]}")
+    shape = array.shape
+    if len(shape) != ndim or shape[0] != shape[-1]:
+        expected = "a 1-d vector" if ndim == 1 else "square"
+        raise DimensionError(f"{type(instance).__name__} {field} must be {expected}, got shape {shape}")
+    if shape[0] not in _VALID_DIMS:
+        raise DimensionError(f"{type(instance).__name__}: dimension must be one of {_VALID_DIMS}, got {shape[0]}")
     array.setflags(write=False)
     object.__setattr__(instance, field, array)
     return array
@@ -205,6 +207,13 @@ def _integer(value, key: str) -> int:
     raise ValueError(f"{key} {repr(value) if isinstance(value, str) else value} is not an integer")
 
 
+def _real(value, key: str) -> float:
+    """A real number that is not a bool, as a float; ``key`` names it in errors."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{key} {repr(value) if isinstance(value, str) else value} is not a real number")
+
+
 def pauli(axis: str) -> Operator:
     """Return the 2x2 Pauli matrix for ``axis`` in {"x", "y", "z", "identity"}."""
     try:
@@ -216,6 +225,14 @@ def pauli(axis: str) -> Operator:
 def _is_normalized(amplitudes: np.ndarray) -> bool:
     """Squared norm within ``ATOL_ALGEBRA`` of 1; NaN and infinite amplitudes fail."""
     return abs(float(np.vdot(amplitudes, amplitudes).real) - 1.0) <= ATOL_ALGEBRA
+
+
+def _norm(x: np.ndarray) -> float:
+    """``float(np.linalg.norm(x))`` of a 1-d array, bit for bit: numpy's own formula without its dispatch."""
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(x.dot(x))
 
 
 def _tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -12,8 +12,10 @@ Layering: the public functions check their inputs at the boundary and wrap
 their results in value objects; the ``_``-functions work on raw amplitude
 arrays. ``run_postselected`` stays on arrays from the beam amplitudes to the
 fidelities, over ``bellkit``'s array core, and wraps ``neutron_pre``,
-``neutron_post`` and the ``TeleportResult`` once each at exit. Every check of
-the value-object path still runs there, as an array test at the same point.
+``neutron_post`` and the ``TeleportResult`` once each at exit. Each value is
+tested once per call chain: the beam by ``BeamState`` when it is built and,
+on every run, by ``bellkit._project_12`` as part of the beam-deuteron tensor;
+the neutron states by ``_fidelity``, which therefore tests only them.
 """
 
 from __future__ import annotations
@@ -130,17 +132,24 @@ def prepare_beam(s: BeamState) -> Ket:
     return Ket([s.a, s.b])
 
 
-def _fidelity(x: np.ndarray, y: np.ndarray) -> float:
-    """``fidelity`` of two dim-2 amplitude arrays, with its normalization test of both."""
-    if not (_is_normalized(x) and _is_normalized(y)):
+def _fidelity(beam: np.ndarray, neutron: np.ndarray) -> float:
+    """``fidelity`` of two dim-2 amplitude arrays, testing the normalization of ``neutron`` only.
+
+    The protocol's ``beam`` was tested in the same call chain, by ``BeamState``
+    and by ``bellkit._project_12`` on its tensor with the deuteron; ``fidelity``
+    tests its first argument itself.
+    """
+    if not _is_normalized(neutron):
         raise NormalizationError("fidelity requires normalized inputs")
-    return min(1.0, abs(complex(np.vdot(x, y))) ** 2)
+    return min(1.0, abs(complex(np.vdot(beam, neutron))) ** 2)
 
 
 def fidelity(x: Ket, y: Ket) -> float:
     """Phase-insensitive overlap |<x|y>|^2 of two normalized single-particle kets."""
     if x.dim != 2 or y.dim != 2:
         raise DimensionError(f"fidelity expects single-particle kets, got dims ({x.dim}, {y.dim})")
+    if not _is_normalized(x.amplitudes):
+        raise NormalizationError("fidelity requires normalized inputs")
     return _fidelity(x.amplitudes, y.amplitudes)
 
 
@@ -230,8 +239,8 @@ def run_sampled(s: BeamState, policy: CorrectionPolicy, seed: int) -> TeleportRe
     psi- outcome is corrected, since the experiment discards the others."""
     seed = _seed(seed)
     beam = prepare_beam(s)
-    decomposition = bellkit.decompose_12(spinalg.tensor(beam, _DEUTERON))
-    probs = [decomposition.probability(label) for label in BELL_ORDER]
+    branches = bellkit.decompose_12(spinalg.tensor(beam, _DEUTERON)).branches
+    probs = [branches[label].probability for label in BELL_ORDER]
     outcome = BELL_ORDER[int(index_from_uniform(_philox_first_uniform(seed), probs))]
-    branch = decomposition.branches[outcome]
+    branch = branches[outcome]
     return _result(beam.amplitudes, outcome, branch.probability, branch.conditional, policy)

@@ -155,6 +155,32 @@ class TestPredictCommand:
         assert lines[1]["model"] == "qt"
         assert lines[1]["neutron_py"] == -0.964
 
+    @pytest.mark.parametrize(
+        "fmt, digest",
+        [
+            ("csv", "57504979ac3ddb919ebc99b28ef3535ddde90ef297baf332ca02236e00d31b05"),
+            ("jsonl", "bedfb052ebb8e628f4165445d7b30332486b18e21ab5b21491a459ee62bbf2eb"),
+        ],
+    )
+    def test_golden_digest(self, tmp_path, fmt, digest):
+        # Pins predict's bytes over axis and oblique beams, epsilon 0 and 0.3,
+        # k != 0 and impure targets. JSON lines writes repr floats, so a change
+        # in the last bit shows there even where the 12-digit CSV hides it.
+        configs = (
+            ["--beam", "x"],
+            ["--beam", "y", "--epsilon", "0"],
+            ["--beam=-z", "--epsilon", "0.3", "--kyy", "0.25"],
+            ["--beam", "30,40", "--kyy", "-0.35"],
+            ["--beam", "120,-75", "--magnitude", "0.7", "--epsilon", "0.3", "--target", "0.1,0.85,0.05"],
+            ["--beam", "90,45", "--magnitude", "0.55", "--kyy", "0.6", "--target", "0.2,0.7,0.1"],
+        )
+        hashed = hashlib.sha256()
+        for index, flags in enumerate(configs):
+            out = tmp_path / str(index)
+            assert cli.main(["predict", *flags, "--format", fmt, "--out", str(out)]) == 0
+            hashed.update(out.read_bytes())
+        assert hashed.hexdigest() == digest
+
 
 class TestNonFiniteInputs:
     @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from helpers import searchsorted_index
 from spinport import cli
 from spinport.reaction import ExperimentConfig, PolarimetryEstimate, TargetSpec, event_records, predict, simulate
+from spinport.spinalg import _norm
 from spinport.teleport import SIGMA_Z, BeamState, _philox, _philox_first_uniform, index_from_uniform, run_sampled
 
 # Derandomized and without an example database: the same examples on every
@@ -159,3 +160,24 @@ def test_config_and_run_sampled_accept_the_same_seeds(seed):
 @given(st.integers(0, 2**128 - 1))
 def test_the_pure_python_first_draw_is_numpys(seed):
     assert _philox_first_uniform(seed) == _philox(seed).random()
+
+
+@st.composite
+def norm_inputs(draw):
+    """A complex 2-, 4- or 8-vector or a real 3-vector, scaled by 1e-300 to 1e300, with 0, NaN and +-inf entries."""
+    n, is_complex = draw(st.sampled_from([(2, True), (4, True), (8, True), (3, False)]))
+    scale = 10.0 ** draw(st.integers(-300, 300))
+    parts = st.lists(st.floats(-1.0, 1.0) | st.sampled_from([0.0, np.nan, np.inf, -np.inf]), min_size=n, max_size=n)
+    x = np.array(draw(parts)) * scale
+    if not is_complex:
+        return x
+    z = x.astype(complex)
+    z.imag = np.array(draw(parts)) * scale
+    return z
+
+
+@PROPERTY
+@given(norm_inputs())
+def test_the_private_norm_is_numpys_bit_for_bit(x):
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        assert np.float64(_norm(x)).tobytes() == np.float64(np.linalg.norm(x)).tobytes()

@@ -1,6 +1,7 @@
 """Tests for the experiment-level model: predictions and Monte Carlo sampling."""
 
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -84,6 +85,18 @@ class TestExperimentConfig:
                 config(events=bad)
         with pytest.raises(ValueError, match="TargetSpec"):
             config(target=(0, 1, 0))
+
+    @pytest.mark.parametrize("key", ("beam_magnitude", "epsilon", "k_transfer", "beam_energy_mev",
+                                     "p_plus", "p_zero", "p_minus"))
+    @pytest.mark.parametrize("bad, shown", ((True, "True"), ("0.5", "'0.5'"), (None, "None"), ([0.5], "[0.5]"),
+                                            (0.5j, "0.5j")))
+    def test_float_fields_refuse_what_is_not_a_real_number_by_name(self, key, bad, shown):
+        # The float fields follow the rule of the integer ones: no bool, no text, and an error naming key and value.
+        with pytest.raises(ValueError, match=re.escape(f"{key} {shown} is not a real number")):
+            if key.startswith("p_"):
+                TargetSpec(**{"p_plus": 0.0, "p_zero": 1.0, "p_minus": 0.0, key: bad})
+            else:
+                config(**{key: bad})
 
     @pytest.mark.parametrize("key", ("beam_magnitude", "epsilon", "k_transfer", "beam_energy_mev", "events", "seed"))
     @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
