@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import sys
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -193,9 +194,9 @@ def _json_value(value):
 
 
 def _emit(args, manifest: list[tuple[str, str]], header: list[str], rows: list[list],
-          row_type: str, tail_lines: Iterable[str] = ()) -> None:
-    """Write manifest and table rows (native, unformatted values), then stream the
-    finished, newline-terminated ``tail_lines`` as they are produced."""
+          row_type: str, tail_text: Iterable[str] = ()) -> None:
+    """Write manifest and table rows (native, unformatted values), then stream
+    ``tail_text``, pieces of finished, newline-terminated lines, as they are produced."""
     if args.format == "csv":
         lines = [f"# {key} = {value}" for key, value in manifest]
         lines.append(",".join(header))
@@ -208,7 +209,7 @@ def _emit(args, manifest: list[tuple[str, str]], header: list[str], rows: list[l
         )
     with open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout) as handle:
         handle.writelines(line + "\n" for line in lines)
-        handle.writelines(tail_lines)
+        handle.writelines(tail_text)
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -250,6 +251,29 @@ def cmd_predict(args) -> int:
     return 0
 
 
+#: Event lines joined into one string per write. A batch's line strings, its
+#: text and the encoded copy add to peak RSS: 1.5 MB at 4096 lines, 3.2 MB at
+#: 8192, which write no faster.
+_EVENT_BATCH = 4096
+
+
+def _event_text(records: Iterable[reaction.EventRecord], n_axes: int) -> Iterator[str]:
+    """The records' JSON lines, joined in batches of ``_EVENT_BATCH`` lines.
+
+    Each line is its event id followed by one of ``2 * n_axes * 2`` tails,
+    built once and looked up as ``tails[accepted][axis_index][spin_outcome]``;
+    entry 0 of the innermost list is unused, so spin -1 is its last entry.
+    """
+    tails = [[[None] + [f', "accepted": {accepted}, "axis_index": {axis}, "spin_outcome": {spin}}}\n'
+                        for spin in (1, -1)]
+              for axis in range(n_axes)]
+             for accepted in ("false", "true")]
+    lines = (f'{{"type": "event", "event_id": {r.event_id}{tails[r.accepted][r.axis_index][r.spin_outcome]}'
+             for r in records)
+    while batch := "".join(itertools.islice(lines, _EVENT_BATCH)):
+        yield batch
+
+
 def cmd_simulate(args) -> int:
     config = _load_config(args)
     estimates = reaction.simulate(config)
@@ -259,14 +283,11 @@ def cmd_simulate(args) -> int:
         for e in estimates
     ]
     # The estimates precede the events, so JSON lines draws the seeded stream
-    # a second time and streams it, instead of holding every event.
-    event_lines = () if args.format == "csv" else (
-        f'{{"type": "event", "event_id": {r.event_id}, "accepted": {"true" if r.accepted else "false"}, '
-        f'"axis_index": {r.axis_index}, "spin_outcome": {r.spin_outcome}}}\n'
-        for r in reaction.event_records(config)
-    )
+    # a second time and streams it in batches, instead of holding every event.
+    event_text = () if args.format == "csv" else _event_text(
+        reaction.event_records(config), len(config.analyzer_axes))
     _emit(args, _manifest("simulate", config_items(config)), header, rows,
-          row_type="estimate", tail_lines=event_lines)
+          row_type="estimate", tail_text=event_text)
     return 0
 
 

@@ -333,11 +333,11 @@ def simulate(config: ExperimentConfig, *, chunk_size: int = _DEFAULT_CHUNK) -> l
 def event_records(config: ExperimentConfig, *, chunk_size: int = _DEFAULT_CHUNK) -> Iterator[EventRecord]:
     """The events ``simulate`` counts, drawn again, as ``EventRecord``s built chunk by chunk."""
     for first_id, accepted, axis_index, spin in _event_columns(config, chunk_size):
-        columns = zip(accepted.tolist(), axis_index.tolist(), spin.tolist())
+        records = map(EventRecord, range(first_id, first_id + len(spin)),
+                      accepted.tolist(), axis_index.tolist(), spin.tolist())
         del accepted, axis_index, spin
-        for event_id, (is_accepted, axis, outcome) in enumerate(columns, first_id):
-            yield EventRecord(event_id, is_accepted, axis, outcome)
-        del columns
+        yield from records
+        del records
 
 
 def acceptance_fraction(records: Iterable[EventRecord]) -> float:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinport import cli
+from spinport import cli, reaction
 from spinport.reaction import ExperimentConfig
 from spinport.spinalg import BlochVector
 
@@ -245,6 +245,26 @@ class TestSimulateCommand:
         argv = ["simulate", "--seed", "7", "--events", events, "--axes", "x,z", "--epsilon", "0.3"]
         assert cli.main(argv + ["--format", fmt, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "axes, events, digest",
+        [
+            ("y", "16387", "b9fc57a75957208363fc920a885441358d59e0993575009af3bc6a9aa160192f"),
+            ("x,-y,z,-x", "73731", "0ce689e6adfa726d0d1b763ba38f0f84319ef5de102474c7c774e1c919cfe01d"),
+        ],
+    )
+    def test_event_lines_are_the_records_as_json(self, tmp_path, axes, events, digest):
+        # The event counts cross a write batch (4096 lines) and a chunk (65536
+        # events) without being a multiple of either; one axis and four.
+        out = tmp_path / "run"
+        argv = ["simulate", "--seed", "11", "--events", events, f"--axes={axes}", "--epsilon", "0.2"]
+        assert cli.main(argv + ["--format", "jsonl", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        config = cli.resolve_config({}, {"seed": "11", "events": events, "analyzer_axes": axes, "epsilon": "0.2"})
+        expected = [json.dumps({"type": "event", **dataclasses.asdict(r)}) + "\n"
+                    for r in reaction.event_records(config)]
+        lines = out.read_text().splitlines(keepends=True)
+        assert [line for line in lines if line.startswith('{"type": "event"')] == expected
 
     def test_byte_identical_reruns(self, tmp_path):
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"

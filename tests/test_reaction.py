@@ -313,6 +313,32 @@ class TestSimulate:
                 four_sigma = 4.0 * np.sqrt((1.0 - expected**2) / estimate.n_events)
                 assert abs(estimate.p_hat - expected) <= four_sigma
 
+    @pytest.mark.parametrize("case", range(16))
+    def test_estimates_match_the_closed_form_within_five_sigma(self, case):
+        # A statistical gate written out here, not read from predict (which
+        # shares _channel_model with the sampler): with P the beam's Bloch
+        # vector and w = p0 (1 - epsilon), the selected neutron carries
+        # w (-Px, -Py, Pz) + (1 - w) (0, k Py, 0), and 1/4 of all events pass.
+        rng = np.random.default_rng(2718 + case)
+        c = config(
+            beam_direction=random_unit_vector(rng),
+            beam_magnitude=rng.uniform(0.0, 1.0),
+            epsilon=rng.uniform(0.0, 1.0),
+            k_transfer=rng.uniform(-1.0, 1.0),
+            target=TargetSpec(*rng.dirichlet((1, 3, 1))),
+            events=int(rng.integers(20_000, 100_001)),
+            seed=case,
+            analyzer_axes=tuple(random_unit_vector(rng) for _ in range(rng.integers(1, 5))),
+        )
+        px, py, pz = c.beam_magnitude * c.beam_direction
+        w = c.target.p_zero * (1.0 - c.epsilon)
+        expected = w * np.array([-px, -py, pz]) + (1.0 - w) * np.array([0.0, c.k_transfer * py, 0.0])
+        for estimate in simulate(c):
+            p = float(expected @ estimate.axis)
+            assert abs(estimate.p_hat - p) <= 5.0 * np.sqrt((1.0 - p**2) / estimate.n_events)
+        accepted = acceptance_fraction(event_records(c))
+        assert abs(accepted - 0.25) <= 5.0 * np.sqrt(0.25 * 0.75 / c.events)
+
     def test_seed_is_mandatory(self):
         with pytest.raises(ValueError):
             simulate(config(seed=None))
