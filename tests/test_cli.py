@@ -254,8 +254,8 @@ class TestSimulateCommand:
         ],
     )
     def test_event_lines_are_the_records_as_json(self, tmp_path, axes, events, digest):
-        # The event counts cross a write batch (4096 lines) and a chunk (65536
-        # events) without being a multiple of either; one axis and four.
+        # Both runs cross write batches (4096 lines) and the second a chunk
+        # (65536 events), neither at a multiple of either; one axis and four.
         out = tmp_path / "run"
         argv = ["simulate", "--seed", "11", "--events", events, f"--axes={axes}", "--epsilon", "0.2"]
         assert cli.main(argv + ["--format", "jsonl", "--out", str(out)]) == 0
