@@ -14,13 +14,12 @@ absorbs magnitude and phase: each conditional is reported with its first
 nonzero amplitude real and positive, so only the products c_B |chi_B> are
 convention-free.
 
-Layering: ``decompose_12`` and ``project_bell`` check the dimension of their
-``Ket`` at the boundary and wrap what they return; the ``_``-functions under
-them (``_project_12``, ``_split``, ``_project``) work on raw amplitude arrays
-and are what ``teleport``'s exact protocol calls. Each value is tested once
-per call chain, in that core: ``_project_12`` tests the normalization of the
-three-particle state on every call, which is where ``teleport``'s exact
-protocol tests its beam, and ``_project`` refuses a zero-probability outcome.
+Layering: ``decompose_12`` and ``project_bell`` check their ``Ket`` at the
+boundary, the dimension and then the normalization, and wrap what they
+return. The ``_``-functions under them (``_project_12``, ``_split``,
+``_project``) are pure algebra on raw amplitude arrays, which ``teleport``'s
+exact protocol calls with a beam that ``BeamState`` has already tested; the
+one refusal among them is ``_project``'s, of a zero-probability outcome.
 """
 
 from __future__ import annotations
@@ -86,13 +85,16 @@ def bell_states() -> dict[BellLabel, Ket]:
 class BellBranch:
     """One branch of a Bell decomposition.
 
-    ``defined`` is False when the branch amplitude vanishes; the conditional
-    is then an arbitrary placeholder and must not be used.
+    ``defined`` is False when the coefficient is zero; the conditional is
+    then an arbitrary placeholder and must not be used.
     """
 
     coefficient: complex
     conditional: Ket
-    defined: bool = True
+
+    @property
+    def defined(self) -> bool:
+        return self.coefficient != 0
 
     @property
     def probability(self) -> float:
@@ -125,8 +127,6 @@ class BellDecomposition:
         """Reassemble sum_B c_B |B>|chi_B> as a dim-8 ket."""
         amps = np.zeros(8, dtype=complex)
         for label, branch in self.branches.items():
-            if not branch.defined:
-                continue
             amps += branch.coefficient * np.kron(_BELL_AMPLITUDES[label], branch.conditional.amplitudes)
         return Ket(amps)
 
@@ -148,16 +148,12 @@ def _split(projected: np.ndarray) -> tuple[complex, np.ndarray | None]:
 
 def _split_branch(projected: np.ndarray) -> BellBranch:
     coefficient, conditional = _split(projected)
-    if conditional is None:
-        return BellBranch(coefficient=coefficient, conditional=Ket([1, 0]), defined=False)
-    return BellBranch(coefficient=coefficient, conditional=Ket(conditional))
+    return BellBranch(coefficient, Ket([1, 0] if conditional is None else conditional))
 
 
 def _project_12(amplitudes: np.ndarray) -> np.ndarray:
     """Unnormalized particle-3 amplitudes of each Bell outcome of dim-8 ``amplitudes``, one row per label in
     ``BELL_ORDER``."""
-    if not _is_normalized(amplitudes):
-        raise NormalizationError("decompose_12 requires a normalized input")
     # rows of the reshape: joint (particle 1, particle 2) index, columns: particle 3
     return (_BELL_ROWS @ amplitudes.reshape(4, 2))[:, 0]
 
@@ -174,6 +170,8 @@ def _project(amplitudes: np.ndarray, b: BellLabel) -> tuple[float, np.ndarray]:
 def _three_particles(psi: Ket) -> np.ndarray:
     if psi.dim != 8:
         raise DimensionError(f"decompose_12 needs a three-particle ket (dim 8), got dim {psi.dim}")
+    if not _is_normalized(psi.amplitudes):
+        raise NormalizationError("decompose_12 requires a normalized input")
     return psi.amplitudes
 
 

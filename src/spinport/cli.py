@@ -6,7 +6,7 @@ lines) carrying the subcommand, tool version and the fully resolved
 parameters, so any run can be reproduced from its own output.
 
 Exit codes: 0 success, 1 invalid input or configuration, 2 a numerical
-invariant was violated at runtime.
+invariant was violated at runtime, 141 the reader closed the output.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import itertools
 import json
+import os
 import sys
 from typing import Iterable, Iterator, Sequence
 
@@ -23,7 +24,7 @@ import numpy as np
 from . import __version__, reaction, teleport
 from .reaction import AXIS_VECTORS, ExperimentConfig, TargetSpec
 from .spinalg import InvariantError, SpinAlgebraError, bloch_from, density_from
-from .teleport import POLICIES, BeamState, CorrectionPolicy
+from .teleport import POLICIES, BeamState
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on bad usage; this tool reserves 2 for numerical
@@ -210,6 +211,7 @@ def _emit(args, manifest: list[tuple[str, str]], header: list[str], rows: list[l
     with open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout) as handle:
         handle.writelines(line + "\n" for line in lines)
         handle.writelines(tail_text)
+        handle.flush()  # a closed reader fails here, inside main's try, not in the flush at exit
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -221,9 +223,8 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def cmd_teleport(args) -> int:
-    direction = parse_beam_spec(args.beam)
-    policy = CorrectionPolicy.parse(args.correction)
-    result = teleport.run_postselected(BeamState.from_direction(direction), policy)
+    policy = POLICIES[args.correction]
+    result = teleport.run_postselected(BeamState.from_direction(parse_beam_spec(args.beam)), policy)
     pre = bloch_from(density_from(result.neutron_pre))
     post = bloch_from(density_from(result.neutron_post))
     manifest = _manifest("teleport", [("beam", args.beam), ("correction", args.correction)])
@@ -359,6 +360,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:  # 141 as the shell reports SIGPIPE; the flush at exit then writes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except InvariantError as exc:
         print(f"spinport: numerical invariant violated: {exc}", file=sys.stderr)
         return 2

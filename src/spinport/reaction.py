@@ -326,6 +326,7 @@ def simulate(config: ExperimentConfig, *, chunk_size: int = _DEFAULT_CHUNK) -> l
     counts = np.zeros(2 * n_axes, dtype=np.int64)  # n+ of each axis, then n-
     for _, _, axis_index, spin in _event_columns(config, chunk_size, accepted_only=True):
         counts += np.bincount(axis_index + n_axes * (spin < 0), minlength=2 * n_axes)
+        del axis_index, spin
     n_plus, n_minus = counts.reshape(2, n_axes).tolist()
     return [PolarimetryEstimate.from_counts(*counted) for counted in zip(config.analyzer_axes, n_plus, n_minus)]
 

@@ -93,7 +93,7 @@ class Ket:
         return self.dim.bit_length() - 1
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return _norm(self.amplitudes)
 
     @property
     def is_normalized(self) -> bool:
@@ -192,7 +192,7 @@ def unit_vector(value: Iterable[float], what: str) -> np.ndarray:
     v = np.array(tuple(value), dtype=float)
     if v.shape != (3,):
         raise DimensionError(f"{what} must be a 3-vector, got shape {v.shape}")
-    norm = float(np.linalg.norm(v))
+    norm = _norm(v)
     if not abs(norm - 1.0) <= ATOL_COMPOSED:
         raise SpinAlgebraError(f"{what} must be unit length, |{what}| = {norm}")
     v.setflags(write=False)
@@ -228,7 +228,7 @@ def _is_normalized(amplitudes: np.ndarray) -> bool:
 
 
 def _norm(x: np.ndarray) -> float:
-    """``float(np.linalg.norm(x))`` of a 1-d array, bit for bit: numpy's own formula without its dispatch."""
+    """The 2-norm of a 1-d array as a float, bit for bit ``numpy.linalg.norm``'s formula, without its dispatch."""
     if x.dtype.kind == "c":
         re, im = x.real, x.imag
         return math.sqrt(re.dot(re) + im.dot(im))

@@ -9,13 +9,13 @@ correction quoted for this scheme, and the fidelity scan quantifies where
 it actually works (x-axis inputs only).
 
 Layering: the public functions check their inputs at the boundary and wrap
-their results in value objects; the ``_``-functions work on raw amplitude
-arrays. ``run_postselected`` stays on arrays from the beam amplitudes to the
-fidelities, over ``bellkit``'s array core, and wraps ``neutron_pre``,
-``neutron_post`` and the ``TeleportResult`` once each at exit. Each value is
-tested once per call chain: the beam by ``BeamState`` when it is built and,
-on every run, by ``bellkit._project_12`` as part of the beam-deuteron tensor;
-the neutron states by ``_fidelity``, which therefore tests only them.
+their results in value objects; the ``_``-functions are pure algebra on raw
+amplitude arrays. ``run_postselected`` stays on arrays, over ``bellkit``'s
+array core, and wraps its results once at exit. Who tests what: ``BeamState``
+the beam; nobody ``neutron_pre``, the split of a nonzero row, normalized by
+construction; ``_result`` ``neutron_post``, which a custom policy within
+``CorrectionPolicy``'s 1e-12 unitarity test can move off the unit sphere;
+``fidelity`` its own arguments.
 """
 
 from __future__ import annotations
@@ -133,14 +133,7 @@ def prepare_beam(s: BeamState) -> Ket:
 
 
 def _fidelity(beam: np.ndarray, neutron: np.ndarray) -> float:
-    """``fidelity`` of two dim-2 amplitude arrays, testing the normalization of ``neutron`` only.
-
-    The protocol's ``beam`` was tested in the same call chain, by ``BeamState``
-    and by ``bellkit._project_12`` on its tensor with the deuteron; ``fidelity``
-    tests its first argument itself.
-    """
-    if not _is_normalized(neutron):
-        raise NormalizationError("fidelity requires normalized inputs")
+    """``fidelity`` of two dim-2 amplitude arrays, which the caller has tested to be normalized."""
     return min(1.0, abs(complex(np.vdot(beam, neutron))) ** 2)
 
 
@@ -148,7 +141,7 @@ def fidelity(x: Ket, y: Ket) -> float:
     """Phase-insensitive overlap |<x|y>|^2 of two normalized single-particle kets."""
     if x.dim != 2 or y.dim != 2:
         raise DimensionError(f"fidelity expects single-particle kets, got dims ({x.dim}, {y.dim})")
-    if not _is_normalized(x.amplitudes):
+    if not (_is_normalized(x.amplitudes) and _is_normalized(y.amplitudes)):
         raise NormalizationError("fidelity requires normalized inputs")
     return _fidelity(x.amplitudes, y.amplitudes)
 
@@ -216,6 +209,8 @@ def _result(beam: np.ndarray, outcome: BellLabel, probability: float, neutron_pr
     neutron_post = fidelity_post = None
     if outcome is BellLabel.PSI_MINUS:
         neutron_post = Ket(policy.operator.entries @ neutron_pre.amplitudes)
+        if not _is_normalized(neutron_post.amplitudes):
+            raise NormalizationError("fidelity requires normalized inputs")
         fidelity_post = _fidelity(beam, neutron_post.amplitudes)
     return TeleportResult(
         outcome=outcome,
@@ -239,8 +234,8 @@ def run_sampled(s: BeamState, policy: CorrectionPolicy, seed: int) -> TeleportRe
     psi- outcome is corrected, since the experiment discards the others."""
     seed = _seed(seed)
     beam = prepare_beam(s)
-    branches = bellkit.decompose_12(spinalg.tensor(beam, _DEUTERON)).branches
-    probs = [branches[label].probability for label in BELL_ORDER]
-    outcome = BELL_ORDER[int(index_from_uniform(_philox_first_uniform(seed), probs))]
-    branch = branches[outcome]
+    decomposition = bellkit.decompose_12(spinalg.tensor(beam, _DEUTERON))
+    probabilities = decomposition.probabilities().values()
+    outcome = BELL_ORDER[int(index_from_uniform(_philox_first_uniform(seed), probabilities))]
+    branch = decomposition.branches[outcome]
     return _result(beam.amplitudes, outcome, branch.probability, branch.conditional, policy)

@@ -20,6 +20,7 @@ from spinport.spinalg import (
     DimensionError,
     Ket,
     NormalizationError,
+    SpinAlgebraError,
     density_from,
     normalize,
     partial_trace,
@@ -163,6 +164,20 @@ class TestDecompose:
         assert decomposition.branches[BellLabel.PHI_PLUS].coefficient == 0
         assert decomposition.branches[BellLabel.PSI_PLUS].defined is True
 
+    def test_defined_is_read_from_the_coefficient(self):
+        assert BellBranch(0j, Ket([1, 0])).defined is False
+        assert BellBranch(0.5, Ket([1, 0])).defined is True
+        with pytest.raises(TypeError):
+            BellBranch(0.5, Ket([1, 0]), defined=False)
+
+    def test_branches_must_cover_the_four_labels(self):
+        branches = decompose_12(protocol_input(1, 0)).branches
+        three = {label: branches[label] for label in BELL_ORDER[:3]}
+        five = {**branches, "psi_minus": branches[BellLabel.PSI_MINUS]}
+        for partial in (three, five):
+            with pytest.raises(SpinAlgebraError, match="exactly one branch per Bell label"):
+                BellDecomposition(partial)
+
     def test_input_validation(self):
         with pytest.raises(DimensionError):
             decompose_12(Ket([1, 0]))
@@ -170,7 +185,7 @@ class TestDecompose:
             decompose_12(Ket([1, 0, 0, 0, 0, 0, 0, 1]))
 
     def test_boundary_errors(self):
-        # the dimension is checked at the boundary, before the core's normalization test
+        # the boundary checks the dimension first, then the normalization
         for bad_dim in (Ket([1, 0, 0, 0]), Ket([1, 1])):
             with pytest.raises(DimensionError):
                 decompose_12(bad_dim)

@@ -294,6 +294,19 @@ class TestSimulateCommand:
         assert body_of(replay) == body_of(out)
         assert replay == out
 
+    def test_an_undefined_estimate_is_null_in_json_lines_and_nan_in_csv(self, capsys):
+        # two events fill the x and y slots of the round robin, so the z axis sees none
+        argv = ("simulate", "--events", "2", "--seed", "7", "--axes", "x,y,z")
+        code, out = run(capsys, *argv, "--format", "jsonl")
+        assert code == 0
+        z_line = out.splitlines()[3]
+        assert '"p_hat": null, "sigma": null' in z_line and "NaN" not in out
+        assert json.loads(z_line) == {"type": "estimate", "axis_x": 0.0, "axis_y": 0.0, "axis_z": 1.0,
+                                      "p_hat": None, "sigma": None, "n_events": 0}
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert (csv_rows(out)[2]["p_hat"], csv_rows(out)[2]["sigma"]) == ("nan", "nan")
+
     def test_jsonl_includes_events(self, capsys):
         code, out = run(capsys, "simulate", "--events", "50", "--seed", "2", "--format", "jsonl")
         assert code == 0
@@ -326,6 +339,32 @@ class TestSimulateMemory:
     def test_peak_rss_does_not_grow_with_events(self, fmt):
         small, large = self.peak_rss_mb(100_000, fmt), self.peak_rss_mb(300_000, fmt)
         assert large - small < 20.0, f"peak RSS {small:.1f} MB -> {large:.1f} MB"
+
+
+class TestClosedReader:
+    @pytest.mark.parametrize(
+        "argv, lines_read",
+        [
+            # ~18 MB of JSON lines, far more than a pipe buffer holds: the reader
+            # closes while the writer is still writing
+            (["simulate", "--seed", "7", "--events", "200000", "--format", "jsonl"], 1),
+            # 1.5 KB, all of it in stdout's buffer: the pipe is closed before
+            # the child has imported numpy, so the flush fails
+            (["scan"], 0),
+        ],
+        ids=["jsonl_18mb", "scan_unread"],
+    )
+    def test_exit_141_with_nothing_on_stderr(self, argv, lines_read):
+        src = Path(cli.__file__).resolve().parents[1]
+        # stdout buffered, as the installed script runs it
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        proc = subprocess.Popen([sys.executable, "-m", "spinport.cli", *argv], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env={**env, "PYTHONPATH": str(src)})
+        for _ in range(lines_read):
+            proc.stdout.readline()
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=60)
+        assert (proc.returncode, stderr) == (141, b"")
 
 
 class TestScanCommand:
@@ -434,6 +473,11 @@ class TestConfigSchema:
     def test_flag_value_errors_name_the_key(self, capsys, flag, key):
         assert cli.main(["simulate", "--seed", "1", flag]) == 1
         assert f"config key {key} = " in capsys.readouterr().err
+
+    def test_an_unknown_axis_name_is_named(self, capsys):
+        assert cli.main(["simulate", "--seed", "1", "--axes", "x,q"]) == 1
+        err = capsys.readouterr().err
+        assert "analyzer_axes" in err and "'q'" in err
 
 
 class TestUsageErrors:

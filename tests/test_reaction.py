@@ -367,6 +367,11 @@ class TestSimulate:
         with pytest.raises(ValueError, match=key):
             build()
 
+    @pytest.mark.parametrize("p_hat", [-1.5, float("nan")])
+    def test_p_hat_outside_the_unit_interval_is_refused(self, p_hat):
+        with pytest.raises(ValueError, match=re.escape(f"|p_hat| = {abs(p_hat)} exceeds 1")):
+            PolarimetryEstimate(np.array(X), p_hat, 0.1, n_events=4)
+
     def test_estimator_error_formula(self):
         estimate = PolarimetryEstimate.from_counts(np.array(X), 75, 25)
         assert estimate.p_hat == pytest.approx(0.5)
@@ -415,9 +420,10 @@ class TestAcceptance:
     @pytest.mark.parametrize("draw", ("simulate", "event_records"))
     def test_each_chunk_is_released_before_the_next_is_drawn(self, draw):
         # Over several chunks the peak stays near one chunk's working set, about
-        # 1.7 (simulate) and 2.4 (event_records) blocks of its uniforms (chunk x
+        # 1.62 (simulate) and 2.37 (event_records) blocks of its uniforms (chunk x
         # 4 float64); holding the previous chunk while drawing the next one
-        # peaked at ~2.8 and ~3.3 blocks.
+        # peaked at ~2.8 and ~3.3 blocks. simulate's own bound fails when it
+        # keeps one chunk's accepted columns through the next draw (~1.74).
         chunk = 4096
         c = config(events=6 * chunk + 17, seed=11)
         run = {
@@ -432,7 +438,8 @@ class TestAcceptance:
         finally:
             tracemalloc.stop()
         block = chunk * 4 * 8
-        assert peak < 2.5 * block, f"tracemalloc peak {peak / block:.2f} uniform blocks"
+        bound = {"simulate": 1.68, "event_records": 2.5}[draw]
+        assert peak < bound * block, f"tracemalloc peak {peak / block:.2f} uniform blocks"
 
     def test_event_record_validation(self):
         with pytest.raises(ValueError):

@@ -376,6 +376,12 @@ class TestBlochFrom:
         with pytest.raises(DimensionError):
             bloch_from(density_from(Ket(PSI_PLUS)))
 
+    def test_rejects_an_imaginary_component_at_the_tolerance(self):
+        # Hermitian within 1e-12, yet tr(rho sigma_z) has an imaginary part of 1e-12
+        rho = DensityMatrix(np.diag([0.5 + 5e-13j, 0.5 - 5e-13j]))
+        with pytest.raises(InvariantError, match="along z has imaginary part"):
+            bloch_from(rho)
+
 
 class TestKetFromDirection:
     def test_poles_and_equator(self):

@@ -1,11 +1,13 @@
 """Tests for the teleportation protocol layer."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from helpers import BELL_ARRAYS, oracle_decomposition, random_beam, searchsorted_index
+from spinport import bellkit, spinalg, teleport
 from spinport.bellkit import BELL_ORDER, BellLabel, decompose_12
 from spinport.spinalg import (
     DimensionError,
@@ -175,9 +177,25 @@ class TestFidelity:
             fidelity(Ket([1, 1, 0, 0]), Ket([1, 1]))
 
 
+class TestTeleportResult:
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("probability", 1.5, "outcome probability 1.5 outside [0, 1]"),
+            ("probability", float("nan"), "outcome probability nan outside [0, 1]"),
+            ("fidelity_pre", -1e-9, "fidelity -1e-09 outside [0, 1]"),
+            ("fidelity_post", 1.0000001, "fidelity 1.0000001 outside [0, 1]"),
+        ],
+    )
+    def test_values_outside_the_unit_interval_are_refused(self, field, value, message):
+        result = run_postselected(AXIS_BEAMS["x"], SIGMA_Z)
+        with pytest.raises(SpinAlgebraError, match=re.escape(message)):
+            dataclasses.replace(result, **{field: value})
+
+
 def near_unitary_policy() -> CorrectionPolicy:
     """A custom correction inside the 1e-12 unitarity tolerance that stretches (1, 1)/sqrt(2) by 1.8e-12 in squared
-    norm: past the normalization tolerance that ``fidelity`` applies to the corrected state."""
+    norm: past the normalization tolerance that the protocol applies to the corrected state."""
     return CorrectionPolicy.custom(Operator(np.eye(2) + 0.45e-12 * np.ones((2, 2))))
 
 
@@ -225,6 +243,24 @@ class TestRunPostselected:
         with pytest.raises(NormalizationError):
             run_postselected(AXIS_BEAMS["-x"], policy)
         assert run_postselected(AXIS_BEAMS["x"], policy).fidelity_post == pytest.approx(0.0, abs=1e-12)
+
+    def test_tests_only_the_corrected_state(self, monkeypatch):
+        # BeamState has tested the beam and the split normalizes neutron_pre; a custom policy can stretch the
+        # corrected state, so that is the one test left per run
+        is_normalized, calls = spinalg._is_normalized, []
+
+        def counted(amplitudes):
+            calls.append(amplitudes)
+            return is_normalized(amplitudes)
+
+        for module in (spinalg, bellkit, teleport):
+            monkeypatch.setattr(module, "_is_normalized", counted)
+        for beam in AXIS_BEAMS.values():
+            for policy in POLICIES.values():
+                calls.clear()
+                result = run_postselected(beam, policy)
+                assert len(calls) == 1
+                assert calls[0] is result.neutron_post.amplitudes
 
     def test_ry_pi_axis_scan(self):
         # the pi rotation about y recovers x-axis beams and nothing else
