@@ -167,22 +167,23 @@ def _project(amplitudes: np.ndarray, b: BellLabel) -> tuple[float, np.ndarray]:
     return probability, conditional
 
 
-def _three_particles(psi: Ket) -> np.ndarray:
+def _three_particles(psi: Ket, caller: str) -> np.ndarray:
     if psi.dim != 8:
-        raise DimensionError(f"decompose_12 needs a three-particle ket (dim 8), got dim {psi.dim}")
+        raise DimensionError(f"{caller} needs a three-particle ket (dim 8), got dim {psi.dim}")
     if not _is_normalized(psi.amplitudes):
-        raise NormalizationError("decompose_12 requires a normalized input")
+        raise NormalizationError(f"{caller} requires a normalized input")
     return psi.amplitudes
 
 
 def decompose_12(psi: Ket) -> BellDecomposition:
     """Bell decomposition of a normalized three-particle ket over particles (1, 2)."""
-    return BellDecomposition(dict(zip(BELL_ORDER, map(_split_branch, _project_12(_three_particles(psi))))))
+    amplitudes = _three_particles(psi, "decompose_12")
+    return BellDecomposition(dict(zip(BELL_ORDER, map(_split_branch, _project_12(amplitudes)))))
 
 
 def project_bell(psi: Ket, b: BellLabel) -> tuple[float, Ket]:
     """Probability of outcome ``b`` and the normalized post-measurement particle-3 state."""
-    probability, conditional = _project(_three_particles(psi), b)
+    probability, conditional = _project(_three_particles(psi, "project_bell"), b)
     return probability, Ket(conditional)
 
 

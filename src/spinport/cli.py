@@ -7,12 +7,18 @@ parameters, so any run can be reproduced from its own output.
 
 Exit codes: 0 success, 1 invalid input or configuration, 2 a numerical
 invariant was violated at runtime, 141 the reader closed the output.
+Importing this module makes the interpreter freeze its garbage collector at
+shutdown. The final collections then skip every object a run leaves behind,
+and cycles still alive at exit are not collected. The atexit handlers, the
+flush of stdout and stderr and the exit-141 path still run.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import contextlib
+import gc
 import itertools
 import json
 import os
@@ -25,6 +31,9 @@ from . import __version__, reaction, teleport
 from .reaction import AXIS_VECTORS, ExperimentConfig, TargetSpec
 from .spinalg import InvariantError, SpinAlgebraError, bloch_from, density_from
 from .teleport import POLICIES, BeamState
+
+# at shutdown, not in main, so in-process callers of main stay unfrozen
+atexit.register(gc.freeze)
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on bad usage; this tool reserves 2 for numerical
@@ -217,8 +226,11 @@ def _emit(args, manifest: list[tuple[str, str]], header: list[str], rows: list[l
 def _load_config(args) -> ExperimentConfig:
     file_values: dict[str, str] = {}
     if args.config:
-        with open(args.config) as handle:
-            file_values = parse_config_text(handle.read())
+        with open(args.config, encoding="utf-8") as handle:
+            try:
+                file_values = parse_config_text(handle.read())
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"config file {args.config!r} is not UTF-8 text: {exc}") from exc
     return resolve_config(file_values, {key: getattr(args, key, None) for key in _CONFIG_FIELDS})
 
 

@@ -280,6 +280,26 @@ class TestProjectBell:
             assert np.allclose(reduced.entries, density_from(conditional).entries, atol=1e-10)
 
 
+class TestBoundaryMessages:
+    # decompose_12 and project_bell share one boundary; each error names the function the caller called.
+    CALLS = {
+        "decompose_12": decompose_12,
+        "project_bell": lambda psi: project_bell(psi, BellLabel.PSI_MINUS),
+    }
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_dimension_error_names_the_caller(self, name):
+        with pytest.raises(DimensionError) as excinfo:
+            self.CALLS[name](Ket([1, 0]))
+        assert str(excinfo.value) == f"{name} needs a three-particle ket (dim 8), got dim 2"
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_normalization_error_names_the_caller(self, name):
+        with pytest.raises(NormalizationError) as excinfo:
+            self.CALLS[name](Ket([1, 0, 0, 0, 0, 0, 0, 1]))
+        assert str(excinfo.value) == f"{name} requires a normalized input"
+
+
 class TestSingletProjector:
     def test_idempotent_and_hermitian(self):
         p = singlet_projector().entries

@@ -1,6 +1,7 @@
 """Tests for the command-line front end."""
 
 import dataclasses
+import gc
 import hashlib
 import json
 import os
@@ -367,6 +368,44 @@ class TestClosedReader:
         assert (proc.returncode, stderr) == (141, b"")
 
 
+class TestShutdownFreeze:
+    # Importing cli registers gc.freeze to run at interpreter shutdown; main itself never freezes.
+    JSONL_DIGEST = "cfd96d615bfda4266fb327a3b790851d95b5c1b8c19302450e72cfdfc92ca724"
+    CSV_DIGEST = "4fb9680a6aa00d6ca39c807b5e52e362ceb1d53ea034f7495f3d0aca0b23b626"
+
+    @staticmethod
+    def child(*argv: str) -> subprocess.CompletedProcess:
+        src = Path(cli.__file__).resolve().parents[1]
+        # stdout buffered, as the installed script runs it
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        return subprocess.run([sys.executable, *argv], capture_output=True, timeout=60,
+                              env={**env, "PYTHONPATH": str(src)})
+
+    def test_main_in_process_leaves_the_collector_unfrozen(self, tmp_path):
+        frozen = gc.get_freeze_count()
+        out = tmp_path / "run.csv"
+        assert cli.main(["simulate", "--seed", "7", "--events", "2000", "--out", str(out)]) == 0
+        assert gc.get_freeze_count() == frozen
+
+    def test_freeze_runs_at_shutdown_and_earlier_handlers_still_run(self):
+        # atexit runs handlers last registered first: this one runs after the freeze
+        code = "import atexit, gc; atexit.register(lambda: print(gc.get_freeze_count() > 0)); import spinport.cli"
+        proc = self.child("-c", code)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"True\n", b"")
+
+    def test_jsonl_file_written_through_out(self, tmp_path):
+        out = tmp_path / "run.jsonl"
+        proc = self.child("-m", "spinport.cli", "simulate", "--seed", "7", "--events", "20000",
+                          "--format", "jsonl", "--out", str(out))
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.JSONL_DIGEST
+
+    def test_csv_through_a_buffered_stdout_pipe(self):
+        proc = self.child("-m", "spinport.cli", "simulate", "--seed", "7", "--events", "20000")
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert hashlib.sha256(proc.stdout).hexdigest() == self.CSV_DIGEST
+
+
 class TestScanCommand:
     def test_policy_scan_table(self, capsys):
         code, out = run(capsys, "scan")
@@ -468,6 +507,16 @@ class TestConfigSchema:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"config key {key} = {text!r}: " in captured.err
+
+    def test_an_undecodable_config_file_is_named(self, capsys, tmp_path):
+        path = tmp_path / "binary.cfg"
+        path.write_bytes(b"\xff\xfe")
+        assert cli.main(["predict", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("spinport")
+        assert str(path) in lines[0]
 
     @pytest.mark.parametrize("flag, key", [("--events=1e5", "events"), ("--magnitude=abc", "beam_magnitude")])
     def test_flag_value_errors_name_the_key(self, capsys, flag, key):
