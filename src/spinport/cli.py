@@ -231,6 +231,8 @@ def _load_config(args) -> ExperimentConfig:
                 file_values = parse_config_text(handle.read())
             except UnicodeDecodeError as exc:
                 raise ValueError(f"config file {args.config!r} is not UTF-8 text: {exc}") from exc
+            except ValueError as exc:
+                raise ValueError(f"config file {args.config!r}: {exc}") from exc
     return resolve_config(file_values, {key: getattr(args, key, None) for key in _CONFIG_FIELDS})
 
 

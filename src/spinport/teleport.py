@@ -174,12 +174,14 @@ def _seed(value) -> int:
     return seed
 
 
-def _philox(seed: int, counter: int = 0) -> np.random.Generator:
+def _philox(seed: int) -> np.random.Generator:
     """The seeded stream: event ``i`` of the Monte Carlo owns the four uniforms in the block after counter
     ``i``: channel, Bell slot, spin, unused. Every event reads its slot uniform; ``reaction.event_records``
     reads all three, and ``reaction.simulate`` reads the channel and spin uniforms only of accepted events.
-    ``run_sampled`` takes the first uniform of event 0's block, computed by ``_philox_first_uniform``."""
-    return np.random.Generator(np.random.Philox(key=seed, counter=counter))
+    Four uniforms use up one block, so drawing events in order from one generator keeps each event on its
+    own block. ``run_sampled`` takes the first uniform of event 0's block, computed by
+    ``_philox_first_uniform``."""
+    return np.random.Generator(np.random.Philox(key=seed))
 
 
 _MASK64 = (1 << 64) - 1

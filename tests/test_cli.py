@@ -240,8 +240,8 @@ class TestSimulateCommand:
         ],
     )
     def test_golden_digest_over_several_chunks(self, tmp_path, fmt, events, digest):
-        # Both runs span more than one 65536-event chunk, so the chunk
-        # boundaries of the default partition are pinned as well.
+        # Both runs span several 16384-event chunks and end inside one, so the
+        # chunk boundaries of the default partition are pinned as well.
         out = tmp_path / "run"
         argv = ["simulate", "--seed", "7", "--events", events, "--axes", "x,z", "--epsilon", "0.3"]
         assert cli.main(argv + ["--format", fmt, "--out", str(out)]) == 0
@@ -255,8 +255,8 @@ class TestSimulateCommand:
         ],
     )
     def test_event_lines_are_the_records_as_json(self, tmp_path, axes, events, digest):
-        # Both runs cross write batches (4096 lines) and the second a chunk
-        # (65536 events), neither at a multiple of either; one axis and four.
+        # Both runs cross write batches (4096 lines) and chunks (16384 events),
+        # neither at a multiple of either; one axis and four.
         out = tmp_path / "run"
         argv = ["simulate", "--seed", "11", "--events", events, f"--axes={axes}", "--epsilon", "0.2"]
         assert cli.main(argv + ["--format", "jsonl", "--out", str(out)]) == 0
@@ -517,6 +517,22 @@ class TestConfigSchema:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("spinport")
         assert str(path) in lines[0]
+
+    @pytest.mark.parametrize(
+        "text, shown",
+        [
+            ("garbage\n", "config line 1 is not 'key = value': 'garbage'"),
+            ("bogus = 1\n", "unknown config key 'bogus' on line 1"),
+            ("epsilon = 0.2\nepsilon = 0.3\n", "config key 'epsilon' repeated on lines 1 and 2"),
+        ],
+    )
+    def test_a_malformed_config_file_is_named_with_the_line(self, capsys, tmp_path, text, shown):
+        path = tmp_path / "malformed.cfg"
+        path.write_text(text)
+        assert cli.main(["predict", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"spinport: error: config file {str(path)!r}: {shown}\n"
 
     @pytest.mark.parametrize("flag, key", [("--events=1e5", "events"), ("--magnitude=abc", "beam_magnitude")])
     def test_flag_value_errors_name_the_key(self, capsys, flag, key):

@@ -23,7 +23,7 @@ from spinport.reaction import (
     target_moments,
 )
 from spinport.spinalg import bloch_from, density_from, pauli, tensor
-from spinport.teleport import BeamState, prepare_beam, prepare_deuteron
+from spinport.teleport import BeamState, _philox, prepare_beam, prepare_deuteron
 
 X, Y, Z = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)
 
@@ -272,6 +272,14 @@ class TestSimulate:
             for a, b in zip(estimates, baseline[1]):
                 assert (a.p_hat, a.sigma, a.n_events) == (b.p_hat, b.sigma, b.n_events)
 
+    def test_the_default_chunk_gives_the_results_of_65536_event_chunks(self):
+        # The partition the default replaced stays pinned: 81925 events end
+        # inside a chunk of either size.
+        c = config(events=65536 + 16384 + 5, seed=23, analyzer_axes=(X, Y, Z))
+        assert [(e.p_hat, e.sigma, e.n_events) for e in simulate(c)] == [
+            (e.p_hat, e.sigma, e.n_events) for e in simulate(c, chunk_size=65536)]
+        assert list(event_records(c)) == list(event_records(c, chunk_size=65536))
+
     @pytest.mark.parametrize("chunk_size", [1, 977, reaction._DEFAULT_CHUNK])
     def test_event_records_agree_with_estimates(self, chunk_size):
         # simulate counts the stream and event_records draws it again: the
@@ -378,6 +386,48 @@ class TestSimulate:
         assert estimate.sigma == pytest.approx(np.sqrt((1 - 0.25) / 100))
 
 
+class PerChunkPhilox:
+    """The draw of one fresh ``Philox(counter=start)`` generator per chunk, counting ``start`` in events."""
+
+    def __init__(self, seed: int):
+        self.seed, self.start = seed, 0
+
+    def random(self, out: np.ndarray) -> np.ndarray:
+        np.random.Generator(np.random.Philox(key=self.seed, counter=self.start)).random(out=out)
+        self.start += len(out)
+        return out
+
+
+class TestOneGeneratorDraw:
+    # One generator continues block by block; each chunk used to build its own
+    # Philox at counter start. Both must give the same bits, on partial chunks too.
+    CASES = [(1, 7), (977, 2 * 977 + 13), (16384, 16384 + 4099), (65536, 65536 + 1001)]
+
+    @pytest.mark.parametrize("seed", [0, 2**64 + 1, 2**128 - 1])
+    @pytest.mark.parametrize("chunk_size, events", CASES)
+    def test_uniform_bits_equal_the_per_chunk_draws(self, chunk_size, events, seed):
+        stream, per_chunk = _philox(seed), PerChunkPhilox(seed)
+        block, expected = np.empty((chunk_size, 4)), np.empty((chunk_size, 4))
+        for start in range(0, events, chunk_size):
+            n = min(chunk_size, events - start)
+            got = stream.random(out=block[:n]).view(np.uint64)
+            assert np.array_equal(got, per_chunk.random(out=expected[:n]).view(np.uint64)), start
+
+    @pytest.mark.parametrize("accepted_only", [False, True])
+    @pytest.mark.parametrize("seed", [0, 2**64 + 1, 2**128 - 1])
+    @pytest.mark.parametrize("chunk_size, events", CASES)
+    def test_columns_equal_the_per_chunk_draws(self, monkeypatch, chunk_size, events, seed, accepted_only):
+        c = config(events=events, seed=seed, analyzer_axes=(X, Y, Z))
+        drawn = list(reaction._event_columns(c, chunk_size, accepted_only=accepted_only))
+        per_chunk = PerChunkPhilox(seed)  # one reference stream, however often _philox is called
+        monkeypatch.setattr(reaction, "_philox", lambda _: per_chunk)
+        expected = list(reaction._event_columns(c, chunk_size, accepted_only=accepted_only))
+        assert len(drawn) == len(expected) == -(-events // chunk_size)
+        for (first, *columns), (first_expected, *columns_expected) in zip(drawn, expected):
+            assert first == first_expected
+            assert all(np.array_equal(a, b) for a, b in zip(columns, columns_expected, strict=True))
+
+
 class TestAcceptance:
     def test_quarter_acceptance_for_pure_channel(self):
         c = config(epsilon=0.0, events=100_000, seed=11)
@@ -440,6 +490,19 @@ class TestAcceptance:
         block = chunk * 4 * 8
         bound = {"simulate": 1.68, "event_records": 2.5}[draw]
         assert peak < bound * block, f"tracemalloc peak {peak / block:.2f} uniform blocks"
+
+    def test_the_default_chunk_keeps_simulate_under_one_mebibyte(self):
+        # One 16384-event chunk peaks at ~0.79 MiB, inside a 1 MiB L2; the
+        # 65536-event chunk it replaced peaked at ~3.1 MiB.
+        c = config(events=300_000, seed=17)
+        simulate(c)
+        tracemalloc.start()
+        try:
+            simulate(c)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"tracemalloc peak {peak / 2**20:.2f} MiB"
 
     def test_event_record_validation(self):
         with pytest.raises(ValueError):
