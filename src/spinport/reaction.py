@@ -20,8 +20,7 @@ teleported spin state by the conventional one; it does not depolarize it.
 
 The Monte Carlo tabulates ``predict``'s channel model once per run as
 ``p_up[channel, slot, axis]``; events index it with the uniforms of their own
-``teleport._philox`` block, drawn in order from one generator per run, so the
-columns are bit-identical however the loop is chunked.
+``teleport._philox`` block, bit-identical however the loop is chunked.
 """
 
 from __future__ import annotations
