@@ -20,6 +20,9 @@ return. The ``_``-functions under them (``_project_12``, ``_split``,
 ``_project``) are pure algebra on raw amplitude arrays, which ``teleport``'s
 exact protocol calls with a beam that ``BeamState`` has already tested; the
 one refusal among them is ``_project``'s, of a zero-probability outcome.
+Every conditional and reconstruction is a fresh array of that algebra, which
+``spinalg._ket`` wraps unchecked; only a zero branch's placeholder goes
+through ``Ket(...)``.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .spinalg import (
     Operator,
     SpinAlgebraError,
     _is_normalized,
+    _ket,
     _norm,
 )
 
@@ -54,6 +58,9 @@ class BellLabel(enum.Enum):
     PSI_MINUS = "psi_minus"
     PHI_PLUS = "phi_plus"
     PHI_MINUS = "phi_minus"
+
+    # members are singletons that compare by identity; Enum's own hash, of the name, is a Python call
+    __hash__ = object.__hash__
 
 
 #: Canonical outcome order used everywhere a draw inverts the cumulative
@@ -128,7 +135,7 @@ class BellDecomposition:
         amps = np.zeros(8, dtype=complex)
         for label, branch in self.branches.items():
             amps += branch.coefficient * np.kron(_BELL_AMPLITUDES[label], branch.conditional.amplitudes)
-        return Ket(amps)
+        return _ket(amps)
 
 
 def _split(projected: np.ndarray) -> tuple[complex, np.ndarray | None]:
@@ -148,7 +155,7 @@ def _split(projected: np.ndarray) -> tuple[complex, np.ndarray | None]:
 
 def _split_branch(projected: np.ndarray) -> BellBranch:
     coefficient, conditional = _split(projected)
-    return BellBranch(coefficient, Ket([1, 0] if conditional is None else conditional))
+    return BellBranch(coefficient, Ket([1, 0]) if conditional is None else _ket(conditional))
 
 
 def _project_12(amplitudes: np.ndarray) -> np.ndarray:
@@ -184,7 +191,7 @@ def decompose_12(psi: Ket) -> BellDecomposition:
 def project_bell(psi: Ket, b: BellLabel) -> tuple[float, Ket]:
     """Probability of outcome ``b`` and the normalized post-measurement particle-3 state."""
     probability, conditional = _project(_three_particles(psi, "project_bell"), b)
-    return probability, Ket(conditional)
+    return probability, _ket(conditional)
 
 
 def singlet_projector() -> Operator:

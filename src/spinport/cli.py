@@ -167,18 +167,33 @@ def parse_config_text(text: str) -> dict[str, str]:
     return values
 
 
-def resolve_config(file_values: dict[str, str], flag_values: dict[str, str | None]) -> ExperimentConfig:
-    """Defaults, then config-file values, then flag values (text; None for a flag not given)."""
-    texts = [(key, text, _CONFIG_FIELDS[key][0]) for key, text in file_values.items()]
-    texts += [(key, text, _FLAG_PARSERS.get(key, _CONFIG_FIELDS[key][0]))
+def resolve_config(file_values: dict[str, str], flag_values: dict[str, str | None],
+                   file_name: str | None = None) -> ExperimentConfig:
+    """Defaults, then config-file values, then flag values (text; None for a flag not given).
+
+    A refusal of a file value names its key, and ``file_name`` when that is given.
+    """
+    in_file = "" if file_name is None else f"config file {file_name!r}: "
+    texts = [(key, text, _CONFIG_FIELDS[key][0], in_file) for key, text in file_values.items()]
+    texts += [(key, text, _FLAG_PARSERS.get(key, _CONFIG_FIELDS[key][0]), "")
               for key, text in flag_values.items() if text is not None]
     kwargs: dict[str, object] = {}
-    for key, text, parse in texts:
+    for key, text, parse, source in texts:
         try:
             kwargs[key] = parse(text)
         except ValueError as exc:
-            raise ValueError(f"config key {key} = {text!r}: {exc}") from exc
-    return ExperimentConfig(**kwargs)
+            raise ValueError(f"{source}config key {key} = {text!r}: {exc}") from exc
+    try:
+        return ExperimentConfig(**kwargs)
+    except ValueError as exc:
+        # ExperimentConfig tests each field on its own, so a file value it refuses is refused alone too
+        for key, text in file_values.items():
+            if flag_values.get(key) is None:
+                try:
+                    ExperimentConfig(**{key: kwargs[key]})
+                except ValueError as refusal:
+                    raise ValueError(f"{in_file}config key {key} = {text!r}: {refusal}") from exc
+        raise
 
 
 def config_items(config: ExperimentConfig) -> list[tuple[str, str]]:
@@ -233,7 +248,7 @@ def _load_config(args) -> ExperimentConfig:
                 raise ValueError(f"config file {args.config!r} is not UTF-8 text: {exc}") from exc
             except ValueError as exc:
                 raise ValueError(f"config file {args.config!r}: {exc}") from exc
-    return resolve_config(file_values, {key: getattr(args, key, None) for key in _CONFIG_FIELDS})
+    return resolve_config(file_values, {key: getattr(args, key, None) for key in _CONFIG_FIELDS}, args.config)
 
 
 def cmd_teleport(args) -> int:

@@ -15,7 +15,11 @@ array core, and wraps its results once at exit. Who tests what: ``BeamState``
 the beam; nobody ``neutron_pre``, the split of a nonzero row, normalized by
 construction; ``_result`` ``neutron_post``, which a custom policy within
 ``CorrectionPolicy``'s 1e-12 unitarity test can move off the unit sphere;
-``fidelity`` its own arguments.
+``fidelity`` its own arguments. The beam, ``neutron_pre`` and ``neutron_post``
+are fresh arrays of this module or of ``bellkit``, so ``spinalg._ket`` wraps
+them without the copy and the checks of ``Ket(...)``, which stays the
+constructor for caller data. ``run_sampled``'s three-particle state comes from
+``spinalg.tensor``, which validates.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .spinalg import (
     Operator,
     SpinAlgebraError,
     _is_normalized,
+    _ket,
     _tensor,
 )
 
@@ -129,7 +134,7 @@ def prepare_deuteron() -> Ket:
 
 def prepare_beam(s: BeamState) -> Ket:
     """Particle-1 ket with amplitudes (a, b)."""
-    return Ket([s.a, s.b])
+    return _ket(np.array([s.a, s.b], dtype=complex))
 
 
 def _fidelity(beam: np.ndarray, neutron: np.ndarray) -> float:
@@ -210,7 +215,7 @@ def _result(beam: np.ndarray, outcome: BellLabel, probability: float, neutron_pr
     """Correct only a psi- outcome; the experiment discards the others uncorrected."""
     neutron_post = fidelity_post = None
     if outcome is BellLabel.PSI_MINUS:
-        neutron_post = Ket(policy.operator.entries @ neutron_pre.amplitudes)
+        neutron_post = _ket(policy.operator.entries @ neutron_pre.amplitudes)
         if not _is_normalized(neutron_post.amplitudes):
             raise NormalizationError("fidelity requires normalized inputs")
         fidelity_post = _fidelity(beam, neutron_post.amplitudes)
@@ -228,7 +233,7 @@ def run_postselected(s: BeamState, policy: CorrectionPolicy = SIGMA_Z) -> Telepo
     """Run the protocol keeping only the discriminated psi- outcome."""
     beam = np.array([s.a, s.b], dtype=complex)
     probability, neutron_pre = bellkit._project(_tensor(beam, _DEUTERON.amplitudes), BellLabel.PSI_MINUS)
-    return _result(beam, BellLabel.PSI_MINUS, probability, Ket(neutron_pre), policy)
+    return _result(beam, BellLabel.PSI_MINUS, probability, _ket(neutron_pre), policy)
 
 
 def run_sampled(s: BeamState, policy: CorrectionPolicy, seed: int) -> TeleportResult:

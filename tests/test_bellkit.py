@@ -1,5 +1,8 @@
 """Tests for Bell basis construction, decomposition and projective measurement."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -64,6 +67,38 @@ def assert_same_up_to_phase(actual: np.ndarray, expected: np.ndarray, atol: floa
     assert abs(overlap) > 1e-6, "states are orthogonal, not equal"
     aligned = actual * np.conj(overlap) / abs(overlap)
     assert np.allclose(aligned, expected, atol=atol)
+
+
+class TestBellLabelHash:
+    """``BellLabel`` hashes by identity: every copy of a label must be the same member, so lookups still find it."""
+
+    @staticmethod
+    def round_trips(label):
+        return pickle.loads(pickle.dumps(label)), copy.deepcopy(label), copy.copy(label), BellLabel(label.value)
+
+    def test_copies_are_the_same_member(self):
+        for label in BellLabel:
+            for twin in self.round_trips(label):
+                assert twin is label
+                assert hash(twin) == hash(label)
+
+    def test_dicts_and_sets_find_round_tripped_keys(self):
+        by_label = {label: label.value for label in BellLabel}
+        for label in BellLabel:
+            for twin in self.round_trips(label):
+                assert by_label[twin] == label.value
+                assert twin in frozenset(BellLabel)
+        assert by_label.get("psi_minus") is None and "psi_minus" not in set(BellLabel)
+
+    def test_decomposition_takes_round_tripped_keys_and_refuses_a_missing_or_extra_one(self):
+        branches = decompose_12(protocol_input(0.6, 0.8)).branches
+        copied = {pickle.loads(pickle.dumps(label)): branch for label, branch in branches.items()}
+        assert BellDecomposition(copied).probabilities() == {label: branches[label].probability for label in BELL_ORDER}
+        missing = {label: branch for label, branch in copied.items() if label is not BellLabel.PHI_MINUS}
+        extra = {**copied, BellLabel.PSI_PLUS.value: branches[BellLabel.PSI_PLUS]}
+        for wrong in (missing, extra):
+            with pytest.raises(SpinAlgebraError, match="exactly one branch per Bell label"):
+                BellDecomposition(wrong)
 
 
 class TestBellStates:

@@ -100,6 +100,19 @@ class TestTeleportCommand:
                 digest.update(out.read_bytes())
         assert digest.hexdigest() == "e7898c798b4d53009be0a3fa846e1e15b80c3bf695c28eaca083aa81c41b2a57"
 
+    def test_golden_digest_of_json_lines(self, tmp_path):
+        # The 21 runs of test_golden_digest in --format jsonl, hashed in the same
+        # order as one sha256 over the concatenated files. JSON lines writes repr
+        # floats, so a change in the last bit of any amplitude shows here.
+        digest = hashlib.sha256()
+        for beam in ("x", "-x", "y", "z", "30,40", "120,-75", "90,45"):
+            for policy in ("none", "sigma_z", "ry_pi"):
+                out = tmp_path / f"{beam}-{policy}.jsonl"
+                argv = ["teleport", f"--beam={beam}", f"--correction={policy}", "--format", "jsonl", "--out", str(out)]
+                assert cli.main(argv) == 0
+                digest.update(out.read_bytes())
+        assert digest.hexdigest() == "340ef69f2cc5a61f81597c2f03cc463f2f4cc996f3b2b2b02af8307c4810718d"
+
 
 class TestPredictCommand:
     def test_reference_numbers(self, capsys):
@@ -533,6 +546,39 @@ class TestConfigSchema:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"spinport: error: config file {str(path)!r}: {shown}\n"
+
+    @pytest.mark.parametrize(
+        "text, shown",
+        [
+            ("epsilon = 1.5\n", "config key epsilon = '1.5': epsilon 1.5 outside [0, 1]"),
+            ("beam_magnitude = nan\n", "config key beam_magnitude = 'nan': beam_magnitude nan outside [0, 1]"),
+            ("events = 300\nk_transfer = -2\n", "config key k_transfer = '-2': k_transfer -2.0 outside [-1, 1]"),
+        ],
+    )
+    def test_a_config_file_value_out_of_range_is_named_with_the_file(self, capsys, tmp_path, text, shown):
+        path = tmp_path / "range.cfg"
+        path.write_text(text)
+        assert cli.main(["predict", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"spinport: error: config file {str(path)!r}: {shown}\n"
+
+    def test_a_flag_value_out_of_range_names_no_file(self, capsys, tmp_path):
+        # the flag overrides the file's epsilon, so the refusal is the flag's, with the bare message
+        path = tmp_path / "overridden.cfg"
+        path.write_text("epsilon = 2\nbeam_magnitude = 0.5\n")
+        for argv in (["predict", "--epsilon", "1.5"], ["predict", "--config", str(path), "--epsilon", "1.5"]):
+            assert cli.main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "spinport: error: epsilon 1.5 outside [0, 1]\n"
+
+    def test_a_flag_overrides_an_out_of_range_file_value(self, capsys, tmp_path):
+        path = tmp_path / "range.cfg"
+        path.write_text("epsilon = 1.5\n")
+        code, out = run(capsys, "predict", "--config", str(path), "--epsilon", "0.1")
+        assert code == 0
+        assert manifest_of(out)["epsilon"] == "0.1"
 
     @pytest.mark.parametrize("flag, key", [("--events=1e5", "events"), ("--magnitude=abc", "beam_magnitude")])
     def test_flag_value_errors_name_the_key(self, capsys, flag, key):

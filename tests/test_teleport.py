@@ -467,3 +467,73 @@ class TestIndexFromUniform:
         index = index_from_uniform(uniforms[:, 1], np.array(probabilities))
         assert index.dtype == np.intp
         assert np.array_equal(index, searchsorted_index(u, probabilities))
+
+
+class TestTrustedWraps:
+    """Every ``Ket`` the exact protocol wraps from its own fresh arrays, without ``Ket(...)``'s copy and checks,
+    must be what ``Ket(...)`` of the same array would give, and as immutable."""
+
+    @staticmethod
+    def check(ket, dim):
+        amplitudes = ket.amplitudes
+        assert type(ket) is Ket
+        assert amplitudes.dtype == np.complex128 and amplitudes.shape == (dim,)
+        assert not amplitudes.flags.writeable
+        assert amplitudes.flags.owndata
+        validated = Ket(amplitudes).amplitudes
+        assert validated.dtype == amplitudes.dtype and validated.shape == amplitudes.shape
+        assert validated.tobytes() == amplitudes.tobytes()
+        with pytest.raises(ValueError):
+            amplitudes[0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ket.amplitudes = validated
+
+    BEAMS = [*AXIS_BEAMS.values(), *(random_beam(np.random.default_rng(8)) for _ in range(8))]
+
+    @pytest.mark.parametrize("policy", POLICIES.values(), ids=list(POLICIES))
+    def test_run_postselected(self, policy):
+        for beam in self.BEAMS:
+            result = run_postselected(beam, policy)
+            self.check(result.neutron_pre, 2)
+            self.check(result.neutron_post, 2)
+
+    def test_run_sampled_for_each_outcome(self):
+        seen = set()
+        for seed in range(64):
+            result = run_sampled(AXIS_BEAMS["x"], SIGMA_Z, seed)
+            seen.add(result.outcome)
+            self.check(result.neutron_pre, 2)
+            if result.neutron_post is not None:
+                self.check(result.neutron_post, 2)
+        assert seen == set(BELL_ORDER)
+
+    def test_prepare_beam(self):
+        for beam in self.BEAMS:
+            ket = prepare_beam(beam)
+            self.check(ket, 2)
+            assert ket.amplitudes.tolist() == [beam.a, beam.b]
+
+    def test_decompose_12_branches_and_reconstruct(self):
+        # |000> leaves both psi branches zero: they carry the validated placeholder |0>
+        states = [tensor(prepare_beam(beam), prepare_deuteron()) for beam in self.BEAMS]
+        for psi in [*states, Ket(np.eye(8)[0])]:
+            decomposition = decompose_12(psi)
+            for branch in decomposition.branches.values():
+                self.check(branch.conditional, 2)
+            self.check(decomposition.reconstruct(), 8)
+        placeholder = decompose_12(Ket(np.eye(8)[0])).conditional(BellLabel.PSI_MINUS)
+        assert placeholder.amplitudes.tolist() == [1, 0]
+
+    def test_project_bell(self):
+        for beam in self.BEAMS:
+            psi = tensor(prepare_beam(beam), prepare_deuteron())
+            for label in BELL_ORDER:
+                self.check(bellkit.project_bell(psi, label)[1], 2)
+
+    def test_apply_and_normalize(self):
+        rng = np.random.default_rng(9)
+        for dim in (2, 4, 8):
+            ket = Ket(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+            self.check(apply(Operator(np.eye(dim)), ket), dim)
+            self.check(spinalg.normalize(ket), dim)
+        self.check(apply(pauli("y"), Ket([1, 0])), 2)
