@@ -1,6 +1,9 @@
 """Tests for the experiment-level model: predictions and Monte Carlo sampling."""
 
+import copy
 import dataclasses
+import inspect
+import pickle
 import re
 import tracemalloc
 
@@ -507,6 +510,87 @@ class TestAcceptance:
     def test_event_record_validation(self):
         with pytest.raises(ValueError):
             EventRecord(0, True, 0, 0)
+
+
+class TestEventRecord:
+    """The value-object contract of ``EventRecord``, whatever builds its instances."""
+
+    FIELDS = ("event_id", "accepted", "axis_index", "spin_outcome")
+
+    def test_positional_and_keyword_construction(self):
+        record = EventRecord(3, True, 1, -1)
+        assert tuple(getattr(record, name) for name in self.FIELDS) == (3, True, 1, -1)
+        assert EventRecord(event_id=3, accepted=True, axis_index=1, spin_outcome=-1) == record
+        assert EventRecord(3, True, spin_outcome=-1, axis_index=1) == record
+
+    @pytest.mark.parametrize(
+        "args, kwargs",
+        [
+            ((3, True, 1), {}),
+            ((3, True, 1, -1, 0), {}),
+            ((3, True, 1, -1), {"charge": 0}),
+            ((3, True, 1), {"spin": -1}),
+            ((3, True, 1, -1), {"event_id": 3}),
+        ],
+    )
+    def test_a_missing_extra_or_unknown_argument_is_a_type_error(self, args, kwargs):
+        with pytest.raises(TypeError):
+            EventRecord(*args, **kwargs)
+
+    def test_the_signature_lists_the_fields_in_order(self):
+        parameters = list(inspect.signature(EventRecord).parameters)
+        assert parameters == [field.name for field in dataclasses.fields(EventRecord)] == list(self.FIELDS)
+
+    def test_equality_hash_and_repr(self):
+        record, twin = EventRecord(3, True, 1, -1), EventRecord(3, True, 1, -1)
+        assert record == twin and record is not twin and hash(record) == hash(twin)
+        assert record != EventRecord(3, True, 1, 1) and record != (3, True, 1, -1)
+        assert len({record, twin, EventRecord(4, False, 0, 1)}) == 2
+        assert repr(record) == "EventRecord(event_id=3, accepted=True, axis_index=1, spin_outcome=-1)"
+
+    def test_match_args(self):
+        assert EventRecord.__match_args__ == self.FIELDS
+        match EventRecord(3, True, 1, -1):
+            case EventRecord(event_id, accepted, axis_index, spin_outcome):
+                assert (event_id, accepted, axis_index, spin_outcome) == (3, True, 1, -1)
+            case _:
+                pytest.fail("EventRecord did not match its own positional pattern")
+
+    @pytest.mark.parametrize(
+        "round_trip",
+        [lambda record: pickle.loads(pickle.dumps(record)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_round_trips(self, round_trip):
+        record = EventRecord(3, True, 1, -1)
+        again = round_trip(record)
+        assert again == record and type(again) is EventRecord
+        assert repr(again) == repr(record)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            again.spin_outcome = 1
+
+    def test_replace_validates(self):
+        record = EventRecord(3, True, 1, -1)
+        assert dataclasses.replace(record, spin_outcome=1) == EventRecord(3, True, 1, 1)
+        assert dataclasses.replace(record, event_id=4, accepted=False) == EventRecord(4, False, 1, -1)
+        with pytest.raises(ValueError, match="spin outcome must be"):
+            dataclasses.replace(record, spin_outcome=0)
+
+    def test_fields_can_be_neither_set_nor_deleted(self):
+        record = EventRecord(3, True, 1, -1)
+        for name in self.FIELDS:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, 0)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(record, name)
+        assert record == EventRecord(3, True, 1, -1)
+
+    @pytest.mark.parametrize("spin", [0, 2, -2])
+    def test_a_spin_other_than_plus_or_minus_one_is_refused(self, spin):
+        with pytest.raises(ValueError, match=f"spin outcome must be \\+1 or -1, got {spin}"):
+            EventRecord(3, True, 1, spin)
+        with pytest.raises(ValueError):
+            EventRecord(event_id=3, accepted=True, axis_index=1, spin_outcome=spin)
 
 
 def born_weights_from_density_matrix(beam_bloch: np.ndarray) -> np.ndarray:
