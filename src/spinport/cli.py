@@ -171,9 +171,12 @@ def resolve_config(file_values: dict[str, str], flag_values: dict[str, str | Non
                    file_name: str | None = None) -> ExperimentConfig:
     """Defaults, then config-file values, then flag values (text; None for a flag not given).
 
-    A refusal of a file value names its key, and ``file_name`` when that is given.
+    Only the values that win are parsed: a file value whose flag is given is
+    never read. A refusal of a file value names its key, and ``file_name``
+    when that is given.
     """
     in_file = "" if file_name is None else f"config file {file_name!r}: "
+    file_values = {key: text for key, text in file_values.items() if flag_values.get(key) is None}
     texts = [(key, text, _CONFIG_FIELDS[key][0], in_file) for key, text in file_values.items()]
     texts += [(key, text, _FLAG_PARSERS.get(key, _CONFIG_FIELDS[key][0]), "")
               for key, text in flag_values.items() if text is not None]
@@ -188,11 +191,10 @@ def resolve_config(file_values: dict[str, str], flag_values: dict[str, str | Non
     except ValueError as exc:
         # ExperimentConfig tests each field on its own, so a file value it refuses is refused alone too
         for key, text in file_values.items():
-            if flag_values.get(key) is None:
-                try:
-                    ExperimentConfig(**{key: kwargs[key]})
-                except ValueError as refusal:
-                    raise ValueError(f"{in_file}config key {key} = {text!r}: {refusal}") from exc
+            try:
+                ExperimentConfig(**{key: kwargs[key]})
+            except ValueError as refusal:
+                raise ValueError(f"{in_file}config key {key} = {text!r}: {refusal}") from exc
         raise
 
 

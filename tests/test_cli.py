@@ -333,6 +333,34 @@ class TestSimulateCommand:
         assert all(event["spin_outcome"] in (-1, 1) for event in events)
 
 
+class TestEventRecordValidation:
+    # Tier-1's copy of the perfbench self-test pin on reaction.EventRecord: every JSON-lines event is one
+    # record validated once, so an EventRecord.__init__ that skips __post_init__ fails here as well.
+    @pytest.fixture
+    def validated(self, monkeypatch):
+        counts = {"records": 0}
+        validate = reaction.EventRecord.__post_init__
+
+        def counting(record):
+            counts["records"] += 1
+            validate(record)
+
+        monkeypatch.setattr(reaction.EventRecord, "__post_init__", counting)
+        return counts
+
+    @pytest.mark.parametrize("fmt, records", [("jsonl", 20000), ("csv", 0)])
+    def test_each_json_lines_event_is_validated_once(self, tmp_path, validated, fmt, records):
+        # 20000 events cross the 16384-event chunk
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--seed", "7", "--events", "20000", "--format", fmt, "--out", str(out)]) == 0
+        assert validated["records"] == records
+
+    def test_event_records_validates_each_record_once(self, validated):
+        config = ExperimentConfig(events=5000, seed=3)
+        assert len(list(reaction.event_records(config, chunk_size=977))) == config.events
+        assert validated["records"] == config.events
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB, as Linux reports it")
 class TestSimulateMemory:
     # The command streams: peak RSS follows the chunk size, not --events.
@@ -579,6 +607,25 @@ class TestConfigSchema:
         code, out = run(capsys, "predict", "--config", str(path), "--epsilon", "0.1")
         assert code == 0
         assert manifest_of(out)["epsilon"] == "0.1"
+
+    @pytest.mark.parametrize(
+        "key, text, flag, shown",
+        [
+            ("events", "1e5", "--events=300", "300"),
+            ("epsilon", "abc", "--epsilon=0.1", "0.1"),
+            ("beam_direction", "1,2", "--beam=z", "0.0,0.0,1.0"),
+            ("analyzer_axes", "x;q", "--axes=y,z", "0.0,1.0,0.0;0.0,0.0,1.0"),
+        ],
+    )
+    def test_a_flag_overrides_a_malformed_file_value(self, capsys, tmp_path, key, text, flag, shown):
+        # the keys and texts of test_config_file_value_errors_name_the_key: a file value that a flag
+        # replaces is never parsed, just as one out of range is never checked
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"{key} = {text}\n")
+        assert cli.main(["simulate", "--config", str(path), "--seed", "1", flag]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert manifest_of(captured.out)[key] == shown
 
     @pytest.mark.parametrize("flag, key", [("--events=1e5", "events"), ("--magnitude=abc", "beam_magnitude")])
     def test_flag_value_errors_name_the_key(self, capsys, flag, key):
