@@ -46,6 +46,11 @@ from .spinalg import (
     _norm,
 )
 
+__all__ = [
+    "BellLabel", "BELL_ORDER", "BellBranch", "BellDecomposition", "ZeroProbabilityError",
+    "bell_states", "decompose_12", "project_bell", "singlet_projector",
+]
+
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
 

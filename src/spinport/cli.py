@@ -324,6 +324,7 @@ def cmd_simulate(args) -> int:
 
 
 _SCAN_BEAMS = ("x", "-x", "y", "-y", "z", "-z")
+_BEAM_HELP = "beam axis (x|y|z, optional sign; write --beam=-x for negative axes) or 'theta,phi' in degrees"
 
 
 def cmd_scan(args) -> int:
@@ -346,8 +347,7 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--beam", dest="beam_direction",
-                        help="beam axis (x|y|z, optional sign; write --beam=-x for negative axes) or 'theta,phi' in degrees")
+    parser.add_argument("--beam", dest="beam_direction", help=_BEAM_HELP)
     parser.add_argument("--magnitude", dest="beam_magnitude", help="beam polarization magnitude in [0, 1]")
     parser.add_argument("--epsilon", help="contamination fraction of the selected sample")
     parser.add_argument("--kyy", dest="k_transfer", help="conventional y->y' polarization transfer coefficient")
@@ -360,8 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
     p_teleport = subparsers.add_parser("teleport", help="run the post-selected protocol for one beam state")
-    p_teleport.add_argument("--beam", required=True,
-                            help="beam axis (x|y|z, optional sign; write --beam=-x for negative axes) or 'theta,phi' in degrees")
+    p_teleport.add_argument("--beam", required=True, help=_BEAM_HELP)
     p_teleport.add_argument("--correction", choices=tuple(POLICIES), default="sigma_z",
                             help="correction policy applied to the selected branch")
     _add_output_flags(p_teleport)

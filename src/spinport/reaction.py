@@ -35,6 +35,13 @@ from .bellkit import BELL_ORDER, BellLabel
 from .spinalg import BlochVector, _integer, _norm, _real, unit_vector
 from .teleport import _philox, _seed, index_from_uniform
 
+__all__ = [
+    "TargetSpec", "IDEAL_TARGET", "ExperimentConfig", "ModelPrediction",
+    "CorrelationRow", "EventRecord", "PolarimetryEstimate",
+    "target_moments", "predict", "correlation_table",
+    "simulate", "event_records", "acceptance_fraction",
+]
+
 #: Denominator floor keeping the enhancement ratio finite when the
 #: conventional prediction vanishes (e.g. an x-polarized beam).
 ENHANCEMENT_FLOOR = 1e-6
@@ -262,7 +269,7 @@ class PolarimetryEstimate:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "axis", unit_vector(self.axis, "analyzer axis"))
-        if self.n_events < 0:
+        if _integer(self.n_events, "n_events") < 0:
             raise ValueError(f"n_events {self.n_events} is negative")
         if self.n_events > 0 and not abs(self.p_hat) <= 1.0:
             raise ValueError(f"|p_hat| = {abs(self.p_hat)} exceeds 1")

@@ -23,7 +23,7 @@ Layering: public functions check value objects at the boundary and call the
 ``_``-functions, which work on raw ``ndarray`` amplitudes (one code path each).
 ``Ket(...)`` is the constructor for caller data: it copies, checks the shape
 and dimension, and freezes. ``_ket`` wraps a fresh array that the core has
-just computed, with no copy and no check; ``apply`` and ``normalize`` use it.
+just computed, with no copy and no check; ``normalize`` uses it.
 ``tensor`` keeps ``Ket(...)``: ``perfbench``'s self-test traces a ``Ket``
 construction under ``tensor``, and ``_tensor`` returns a reshaped view, which
 the copy turns into an array that owns its data.
@@ -37,6 +37,13 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
+
+__all__ = [
+    "Ket", "Operator", "DensityMatrix", "BlochVector",
+    "SpinAlgebraError", "DimensionError", "ZeroStateError", "NormalizationError", "InvariantError",
+    "tensor", "normalize", "density_from", "partial_trace",
+    "pauli", "rotation", "bloch_from", "ket_from_direction",
+]
 
 ATOL_ALGEBRA = 1e-12
 ATOL_COMPOSED = 1e-10
@@ -222,11 +229,11 @@ def _integer(value, key: str) -> int:
     raise ValueError(f"{key} {repr(value) if isinstance(value, str) else value} is not an integer")
 
 
-def _real(value, key: str) -> float:
-    """A real number that is not a bool, as a float; ``key`` names it in errors."""
+def _real(value, key: str, error: type[ValueError] = ValueError) -> float:
+    """A real number that is not a bool, as a float; ``key`` names it in an ``error``."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         return float(value)
-    raise ValueError(f"{key} {repr(value) if isinstance(value, str) else value} is not a real number")
+    raise error(f"{key} {repr(value) if isinstance(value, str) else value} is not a real number")
 
 
 def pauli(axis: str) -> Operator:
@@ -260,13 +267,6 @@ def tensor(a: Ket, b: Ket) -> Ket:
     if a.dim * b.dim > 8:
         raise DimensionError(f"tensor product dimension {a.dim * b.dim} exceeds 8 (three particles)")
     return Ket(_tensor(a.amplitudes, b.amplitudes))
-
-
-def apply(u: Operator, k: Ket) -> Ket:
-    """Matrix-vector product ``u @ k``."""
-    if u.dim != k.dim:
-        raise DimensionError(f"operator dim {u.dim} does not match state dim {k.dim}")
-    return _ket(u.entries @ k.amplitudes)
 
 
 def normalize(k: Ket) -> Ket:
@@ -317,7 +317,7 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
 def rotation(axis: Iterable[float], angle: float) -> Operator:
     """Spin rotation exp(-i*angle*(axis.sigma)/2) about a unit 3-vector axis."""
     n = unit_vector(axis, "rotation axis")
-    half = 0.5 * float(angle)
+    half = 0.5 * _real(angle, "rotation angle", SpinAlgebraError)
     if not math.isfinite(half):
         raise SpinAlgebraError(f"rotation angle must be finite, angle = {angle}")
     n_sigma = n[0] * _PAULI["x"] + n[1] * _PAULI["y"] + n[2] * _PAULI["z"]

@@ -44,6 +44,13 @@ from .spinalg import (
     _tensor,
 )
 
+__all__ = [
+    "BeamState", "CorrectionPolicy", "TeleportResult",
+    "NO_CORRECTION", "SIGMA_Z", "RY_PI",
+    "prepare_deuteron", "prepare_beam", "fidelity",
+    "run_postselected", "run_sampled",
+]
+
 
 @dataclass(frozen=True)
 class BeamState:
@@ -217,7 +224,8 @@ def _result(beam: np.ndarray, outcome: BellLabel, probability: float, neutron_pr
     if outcome is BellLabel.PSI_MINUS:
         neutron_post = _ket(policy.operator.entries @ neutron_pre.amplitudes)
         if not _is_normalized(neutron_post.amplitudes):
-            raise NormalizationError("fidelity requires normalized inputs")
+            squared_norm = float(np.vdot(neutron_post.amplitudes, neutron_post.amplitudes).real)
+            raise NormalizationError(f"correction {policy.name!r} leaves the neutron with squared norm {squared_norm}")
         fidelity_post = _fidelity(beam, neutron_post.amplitudes)
     return TeleportResult(
         outcome=outcome,

@@ -17,7 +17,6 @@ from spinport.spinalg import (
     Operator,
     SpinAlgebraError,
     ZeroStateError,
-    apply,
     bloch_from,
     density_from,
     ket_from_direction,
@@ -144,32 +143,6 @@ class TestTensor:
                 tensor(a, b)
 
 
-class TestApply:
-    def test_sigma_z_diagonal_action(self):
-        a, b = 0.6, 0.8
-        out = apply(pauli("z"), Ket([a, b]))
-        assert np.allclose(out.amplitudes, [a, -b], atol=1e-15)
-
-    def test_sigma_y_on_up(self):
-        out = apply(pauli("y"), Ket([1, 0]))
-        assert np.allclose(out.amplitudes, [0, 1j], atol=1e-15)
-
-    def test_pi_rotation_about_y_matches_matrix_exponential(self):
-        oracle = scipy.linalg.expm(-1j * np.pi * pauli("y").entries / 2.0)
-        out = apply(rotation((0, 1, 0), np.pi), Ket([1, 0]))
-        assert np.allclose(out.amplitudes, oracle @ [1, 0], atol=1e-12)
-        # |0> goes to |1> up to global phase
-        assert abs(abs(out.amplitudes[1]) - 1.0) < 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            apply(pauli("z"), Ket(PSI_PLUS))
-
-    def test_operator_larger_than_the_state(self):
-        with pytest.raises(DimensionError):
-            apply(Operator(np.eye(4)), Ket([1, 0]))
-
-
 class TestNormalize:
     def test_scaling(self):
         assert np.allclose(normalize(Ket([2, 0])).amplitudes, [1, 0])
@@ -262,10 +235,19 @@ class TestPartialTrace:
 
 class TestPauli:
     def test_z_eigenstate_convention(self):
-        assert np.allclose(apply(pauli("z"), Ket([1, 0])).amplitudes, [1, 0])
+        assert np.allclose(pauli("z").entries @ Ket([1, 0]).amplitudes, [1, 0])
 
     def test_x_flips_basis_state(self):
-        assert np.allclose(apply(pauli("x"), Ket([1, 0])).amplitudes, [0, 1])
+        assert np.allclose(pauli("x").entries @ Ket([1, 0]).amplitudes, [0, 1])
+
+    def test_sigma_z_diagonal_action(self):
+        a, b = 0.6, 0.8
+        out = pauli("z").entries @ Ket([a, b]).amplitudes
+        assert np.allclose(out, [a, -b], atol=1e-15)
+
+    def test_sigma_y_on_up(self):
+        out = pauli("y").entries @ Ket([1, 0]).amplitudes
+        assert np.allclose(out, [0, 1j], atol=1e-15)
 
     def test_orthogonality_under_trace(self):
         assert np.trace(pauli("x").entries @ pauli("y").entries) == pytest.approx(0.0)
@@ -319,6 +301,13 @@ class TestRotation:
             oracle = scipy.linalg.expm(-1j * angle * n_sigma / 2.0)
             assert np.allclose(rotation(axis, angle).entries, oracle, atol=1e-12)
 
+    def test_pi_rotation_about_y_matches_matrix_exponential(self):
+        oracle = scipy.linalg.expm(-1j * np.pi * pauli("y").entries / 2.0)
+        out = rotation((0, 1, 0), np.pi).entries @ Ket([1, 0]).amplitudes
+        assert np.allclose(out, oracle @ [1, 0], atol=1e-12)
+        # |0> goes to |1> up to global phase
+        assert abs(abs(out[1]) - 1.0) < 1e-12
+
     def test_pi_about_z_flips_x_polarization(self):
         rho = density_from(Ket([SQRT_HALF, SQRT_HALF]))
         u = rotation((0, 0, 1), np.pi).entries
@@ -354,7 +343,7 @@ class TestRotation:
         with pytest.raises(SpinAlgebraError):
             rotation((0, 2, 0), np.pi)
 
-    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("bad", [*NON_FINITE, "1.5", True])
     def test_rejects_a_non_finite_angle(self, bad):
         with pytest.raises(SpinAlgebraError, match="angle"):
             rotation((0, 0, 1), bad)
