@@ -23,7 +23,7 @@ import itertools
 import json
 import os
 import sys
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -103,10 +103,6 @@ def _parse_axes_flag(text: str) -> tuple[np.ndarray, ...]:
     return tuple(axes)
 
 
-def _parse_target_value(text: str) -> TargetSpec:
-    return TargetSpec(*_parse_vector3(text, "target populations p+,p0,p-"))
-
-
 def beam_label(direction: np.ndarray) -> str:
     """Axis name when the direction is axis-aligned, else "theta,phi" in degrees."""
     for name, axis in AXIS_VECTORS.items():
@@ -115,7 +111,7 @@ def beam_label(direction: np.ndarray) -> str:
             return name
         if np.allclose(direction, -axis, atol=1e-9):
             return f"-{name}"
-    theta = np.degrees(np.arccos(np.clip(direction[2], -1.0, 1.0)))
+    theta = np.degrees(np.arctan2(np.hypot(direction[0], direction[1]), direction[2]))
     phi = np.degrees(np.arctan2(direction[1], direction[0]))
     return f"{_fmt(theta)},{_fmt(phi)}"
 
@@ -124,27 +120,37 @@ def _floats(values) -> str:
     return ",".join(_exact(c) for c in values)
 
 
-#: Every ``ExperimentConfig`` key, in manifest order, with how its config-file
-#: text parses and how its manifest value renders; the rendering parses back.
-_CONFIG_FIELDS = {
-    "beam_direction": (lambda text: _parse_axis_or_vector(text, "beam_direction"), _floats),
-    "beam_magnitude": (float, _exact),
-    "epsilon": (float, _exact),
-    "k_transfer": (float, _exact),
-    "target": (_parse_target_value, lambda t: _floats((t.p_plus, t.p_zero, t.p_minus))),
-    "events": (int, str),
-    "seed": (int, str),
-    "beam_energy_mev": (float, _exact),
-    "analyzer_axes": (
-        lambda text: tuple(_parse_axis_or_vector(token, "analyzer axis") for token in text.split(";")),
-        lambda axes: ";".join(map(_floats, axes)),
-    ),
-}
+class _Key(NamedTuple):
+    flag: str | None
+    help: str | None
+    parse: Callable[[str], object]
+    render: Callable[[object], str]
+    flag_parse: Callable[[str], object] | None = None
+    simulate_only: bool = False
 
-#: Flags whose grammar differs from the config-file text of their key.
-_FLAG_PARSERS = {
-    "beam_direction": parse_beam_spec,
-    "analyzer_axes": _parse_axes_flag,
+
+_BEAM_HELP = "beam axis (x|y|z, optional sign; write --beam=-x for negative axes) or 'theta,phi' in degrees"
+
+#: Every ``ExperimentConfig`` key, in field order, which is also the manifest's order: its flag (None for
+#: none), the flag's help, how its config-file text parses, how its manifest value renders (the rendering
+#: parses back), how its flag text parses where that grammar differs, and whether only ``simulate`` takes it.
+_CONFIG_FIELDS = {
+    "beam_direction": _Key("--beam", _BEAM_HELP, lambda text: _parse_axis_or_vector(text, "beam_direction"),
+                           _floats, parse_beam_spec),
+    "beam_magnitude": _Key("--magnitude", "beam polarization magnitude in [0, 1]", float, _exact),
+    "epsilon": _Key("--epsilon", "contamination fraction of the selected sample", float, _exact),
+    "k_transfer": _Key("--kyy", "conventional y->y' polarization transfer coefficient", float, _exact),
+    "target": _Key("--target", "target sublevel populations p+,p0,p-",
+                   lambda text: TargetSpec(*_parse_vector3(text, "target populations p+,p0,p-")),
+                   lambda t: _floats((t.p_plus, t.p_zero, t.p_minus))),
+    "events": _Key("--events", "number of events to generate", int, str, simulate_only=True),
+    "seed": _Key("--seed", "random seed (required)", int, str, simulate_only=True),
+    "beam_energy_mev": _Key(None, None, float, _exact),
+    "analyzer_axes": _Key(
+        "--axes", "comma-separated analyzer axis names, e.g. x,y,z",
+        lambda text: tuple(_parse_axis_or_vector(token, "analyzer axis") for token in text.split(";")),
+        lambda axes: ";".join(map(_floats, axes)), _parse_axes_flag, simulate_only=True,
+    ),
 }
 
 
@@ -171,17 +177,21 @@ def resolve_config(file_values: dict[str, str], flag_values: dict[str, str | Non
                    file_name: str | None = None) -> ExperimentConfig:
     """Defaults, then config-file values, then flag values (text; None for a flag not given).
 
-    Only the values that win are parsed: a file value whose flag is given is
-    never read. A refusal of a file value names its key, and ``file_name``
-    when that is given.
+    Only the values that win are parsed, in field order: a file value whose
+    flag is given is never read. The first text that does not parse, else the
+    first value ``ExperimentConfig`` refuses, names its key and text, and
+    ``file_name`` when it came from the file; a flag value refused after it
+    parsed keeps the bare message.
     """
     in_file = "" if file_name is None else f"config file {file_name!r}: "
-    file_values = {key: text for key, text in file_values.items() if flag_values.get(key) is None}
-    texts = [(key, text, _CONFIG_FIELDS[key][0], in_file) for key, text in file_values.items()]
-    texts += [(key, text, _FLAG_PARSERS.get(key, _CONFIG_FIELDS[key][0]), "")
-              for key, text in flag_values.items() if text is not None]
     kwargs: dict[str, object] = {}
-    for key, text, parse, source in texts:
+    for key, field in _CONFIG_FIELDS.items():
+        if flag_values.get(key) is not None:
+            text, parse, source = flag_values[key], field.flag_parse or field.parse, ""
+        elif key in file_values:
+            text, parse, source = file_values[key], field.parse, in_file
+        else:
+            continue
         try:
             kwargs[key] = parse(text)
         except ValueError as exc:
@@ -189,19 +199,15 @@ def resolve_config(file_values: dict[str, str], flag_values: dict[str, str | Non
     try:
         return ExperimentConfig(**kwargs)
     except ValueError as exc:
-        # ExperimentConfig tests each field on its own, so a file value it refuses is refused alone too
-        for key, text in file_values.items():
-            try:
-                ExperimentConfig(**{key: kwargs[key]})
-            except ValueError as refusal:
-                raise ValueError(f"{in_file}config key {key} = {text!r}: {refusal}") from exc
+        if flag_values.get(exc.key) is None:
+            raise ValueError(f"{in_file}config key {exc.key} = {file_values[exc.key]!r}: {exc}") from exc
         raise
 
 
 def config_items(config: ExperimentConfig) -> list[tuple[str, str]]:
     """Config serialized as (key, value) text pairs; parses back to itself."""
-    return [(key, render(getattr(config, key))) for key, (_, render) in _CONFIG_FIELDS.items()
-            if getattr(config, key) is not None]
+    return [(key, field.render(value)) for key, field in _CONFIG_FIELDS.items()
+            if (value := getattr(config, key)) is not None]
 
 
 def _manifest(subcommand: str, params: list[tuple[str, str]]) -> list[tuple[str, str]]:
@@ -324,7 +330,6 @@ def cmd_simulate(args) -> int:
 
 
 _SCAN_BEAMS = ("x", "-x", "y", "-y", "z", "-z")
-_BEAM_HELP = "beam axis (x|y|z, optional sign; write --beam=-x for negative axes) or 'theta,phi' in degrees"
 
 
 def cmd_scan(args) -> int:
@@ -345,15 +350,6 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "jsonl"), default="csv", help="output format")
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--beam", dest="beam_direction", help=_BEAM_HELP)
-    parser.add_argument("--magnitude", dest="beam_magnitude", help="beam polarization magnitude in [0, 1]")
-    parser.add_argument("--epsilon", help="contamination fraction of the selected sample")
-    parser.add_argument("--kyy", dest="k_transfer", help="conventional y->y' polarization transfer coefficient")
-    parser.add_argument("--target", help="target sublevel populations p+,p0,p-")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="spinport", description="Spin-teleportation polarimetry toolkit")
     parser.add_argument("--version", action="version", version=f"spinport {__version__}")
@@ -366,18 +362,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p_teleport)
     p_teleport.set_defaults(func=cmd_teleport)
 
-    p_predict = subparsers.add_parser("predict", help="analytic neutron-polarization predictions")
-    _add_config_flags(p_predict)
-    _add_output_flags(p_predict)
-    p_predict.set_defaults(func=cmd_predict)
-
-    p_simulate = subparsers.add_parser("simulate", help="Monte Carlo event sample and polarimetry estimates")
-    _add_config_flags(p_simulate)
-    p_simulate.add_argument("--events", help="number of events to generate")
-    p_simulate.add_argument("--seed", help="random seed (required)")
-    p_simulate.add_argument("--axes", dest="analyzer_axes", help="comma-separated analyzer axis names, e.g. x,y,z")
-    _add_output_flags(p_simulate)
-    p_simulate.set_defaults(func=cmd_simulate)
+    for name, help_text, func in (("predict", "analytic neutron-polarization predictions", cmd_predict),
+                                  ("simulate", "Monte Carlo event sample and polarimetry estimates", cmd_simulate)):
+        sub = subparsers.add_parser(name, help=help_text)
+        sub.add_argument("--config", help="flat key = value config file")
+        for key, field in _CONFIG_FIELDS.items():
+            if field.flag and (name == "simulate" or not field.simulate_only):
+                sub.add_argument(field.flag, dest=key, help=field.help)
+        _add_output_flags(sub)
+        sub.set_defaults(func=func)
 
     p_scan = subparsers.add_parser("scan", help="correction-policy fidelity scan over the six beam axes")
     _add_output_flags(p_scan)

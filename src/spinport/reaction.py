@@ -110,6 +110,24 @@ def target_moments(t: TargetSpec) -> tuple[float, float]:
     return t.p_plus - t.p_minus, t.p_plus + t.p_minus - 2.0 * t.p_zero
 
 
+#: How ``ExperimentConfig`` checks each key, in field order: ``coerce(value, key)``, then ``valid(value)``
+#: (None: no test) and its ``refusal``. The first error raised, of either, gets its key as ``key``.
+_CONFIG_CHECKS = {
+    "beam_direction": (lambda value, key: unit_vector(value, key), None, ""),
+    "beam_magnitude": (_real, lambda value: 0.0 <= value <= 1.0, "{key} {value} outside [0, 1]"),
+    "epsilon": (_real, lambda value: 0.0 <= value <= 1.0, "{key} {value} outside [0, 1]"),
+    "k_transfer": (_real, lambda value: abs(value) <= 1.0, "{key} {value} outside [-1, 1]"),
+    "target": (lambda value, key: value, lambda value: isinstance(value, TargetSpec), "target must be a TargetSpec"),
+    "events": (_integer, lambda value: value >= 1, "events must be positive, got {value}"),
+    "seed": (lambda value, key: None if value is None else _seed(value), None, ""),
+    "beam_energy_mev": (_real, lambda value: 0.0 < value < np.inf, "{key} {value} is not a positive finite energy"),
+    "analyzer_axes": (
+        lambda value, key: value if value is _DEFAULT_AXES else tuple(unit_vector(a, "analyzer axis") for a in value),
+        bool, "at least one analyzer axis is required",
+    ),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Resolved parameters of one prediction or simulation run.
@@ -129,28 +147,15 @@ class ExperimentConfig:
     analyzer_axes: tuple[np.ndarray, ...] = _DEFAULT_AXES
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "beam_direction", unit_vector(self.beam_direction, "beam_direction"))
-        for key in ("beam_magnitude", "epsilon", "k_transfer", "beam_energy_mev"):
-            object.__setattr__(self, key, _real(getattr(self, key), key))
-        object.__setattr__(self, "events", _integer(self.events, "events"))
-        object.__setattr__(self, "seed", None if self.seed is None else _seed(self.seed))
-        if not 0.0 <= self.beam_magnitude <= 1.0:
-            raise ValueError(f"beam_magnitude {self.beam_magnitude} outside [0, 1]")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon {self.epsilon} outside [0, 1]")
-        if not abs(self.k_transfer) <= 1.0:
-            raise ValueError(f"k_transfer {self.k_transfer} outside [-1, 1]")
-        if not isinstance(self.target, TargetSpec):
-            raise ValueError("target must be a TargetSpec")
-        if self.events < 1:
-            raise ValueError(f"events must be positive, got {self.events}")
-        if not 0.0 < self.beam_energy_mev < np.inf:
-            raise ValueError(f"beam_energy_mev {self.beam_energy_mev} is not a positive finite energy")
-        if self.analyzer_axes is not _DEFAULT_AXES:
-            axes = tuple(unit_vector(axis, "analyzer axis") for axis in self.analyzer_axes)
-            if not axes:
-                raise ValueError("at least one analyzer axis is required")
-            object.__setattr__(self, "analyzer_axes", axes)
+        for key, (coerce, valid, refusal) in _CONFIG_CHECKS.items():
+            try:
+                value = coerce(getattr(self, key), key)
+                if valid is not None and not valid(value):
+                    raise ValueError(refusal.format(key=key, value=value))
+            except ValueError as exc:
+                exc.key = key
+                raise
+            object.__setattr__(self, key, value)
 
     def beam_bloch(self) -> np.ndarray:
         return self.beam_magnitude * self.beam_direction

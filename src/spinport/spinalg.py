@@ -344,6 +344,6 @@ def ket_from_direction(n: Iterable[float]) -> Ket:
     the spherical angles of ``n``.
     """
     v = unit_vector(n, "direction")
-    theta = float(np.arccos(np.clip(v[2], -1.0, 1.0)))
+    theta = float(np.arctan2(np.hypot(v[0], v[1]), v[2]))  # arccos(z) would lose the transverse part near ±z
     phi = float(np.arctan2(v[1], v[0]))
     return Ket([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)])

@@ -1,5 +1,6 @@
 """Tests for the command-line front end."""
 
+import argparse
 import dataclasses
 import gc
 import hashlib
@@ -43,6 +44,76 @@ def csv_rows(text: str) -> list[dict[str, str]]:
     return [dict(zip(header, line.split(","))) for line in lines[1:]]
 
 
+_BEAM_HELP = "beam axis (x|y|z, optional sign; write --beam=-x for negative axes) or 'theta,phi' in degrees"
+_HELP = (["-h", "--help"], "help", "show this help message and exit", None, argparse.SUPPRESS, False)
+_OUTPUT = [
+    (["--out"], "out", "output file (default: standard output)", None, None, False),
+    (["--format"], "format", "output format", ["csv", "jsonl"], "csv", False),
+]
+_CONFIG_FLAGS = [
+    (["--config"], "config", "flat key = value config file", None, None, False),
+    (["--beam"], "beam_direction", _BEAM_HELP, None, None, False),
+    (["--magnitude"], "beam_magnitude", "beam polarization magnitude in [0, 1]", None, None, False),
+    (["--epsilon"], "epsilon", "contamination fraction of the selected sample", None, None, False),
+    (["--kyy"], "k_transfer", "conventional y->y' polarization transfer coefficient", None, None, False),
+    (["--target"], "target", "target sublevel populations p+,p0,p-", None, None, False),
+]
+
+
+def argparse_surface(parser: argparse.ArgumentParser) -> list[tuple]:
+    """Each action's option strings, dest, help, choices, default and required flag; a subcommand's
+    choices are its (name, help) pairs. Read from the actions, not from the help text, whose layout
+    differs between Python versions."""
+    rows = []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            choices = [(choice.dest, choice.help) for choice in action._choices_actions]
+        else:
+            choices = None if action.choices is None else list(action.choices)
+        rows.append((action.option_strings, action.dest, action.help, choices, action.default, action.required))
+    return rows
+
+
+class TestArgparseSurface:
+    # Every flag, its config key, help, choices and default, as the parser declares them.
+    EXPECTED = {
+        None: [
+            _HELP,
+            (["--version"], "version", "show program's version number and exit", None, argparse.SUPPRESS, False),
+            ([], "subcommand", None, [
+                ("teleport", "run the post-selected protocol for one beam state"),
+                ("predict", "analytic neutron-polarization predictions"),
+                ("simulate", "Monte Carlo event sample and polarimetry estimates"),
+                ("scan", "correction-policy fidelity scan over the six beam axes"),
+            ], None, True),
+        ],
+        "teleport": [
+            _HELP,
+            (["--beam"], "beam", _BEAM_HELP, None, None, True),
+            (["--correction"], "correction", "correction policy applied to the selected branch",
+             ["none", "sigma_z", "ry_pi"], "sigma_z", False),
+            *_OUTPUT,
+        ],
+        "predict": [_HELP, *_CONFIG_FLAGS, *_OUTPUT],
+        "simulate": [
+            _HELP,
+            *_CONFIG_FLAGS,
+            (["--events"], "events", "number of events to generate", None, None, False),
+            (["--seed"], "seed", "random seed (required)", None, None, False),
+            (["--axes"], "analyzer_axes", "comma-separated analyzer axis names, e.g. x,y,z", None, None, False),
+            *_OUTPUT,
+        ],
+        "scan": [_HELP, *_OUTPUT],
+    }
+
+    def test_every_parser_declares_the_same_actions(self):
+        parser = cli.build_parser()
+        subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+        surfaces = {None: argparse_surface(parser)}
+        surfaces.update((name, argparse_surface(sub)) for name, sub in subcommands.items())
+        assert surfaces == self.EXPECTED
+
+
 class TestBeamParsing:
     def test_axis_names(self):
         assert np.allclose(cli.parse_beam_spec("x"), [1, 0, 0])
@@ -62,6 +133,12 @@ class TestBeamParsing:
     def test_labels_round_trip(self):
         for name in ("x", "-x", "y", "-y", "z", "-z"):
             assert cli.beam_label(cli.parse_beam_spec(name)) == name
+
+    def test_a_beam_near_the_pole_keeps_its_polar_angle(self, capsys):
+        assert cli.beam_label(cli.parse_beam_spec("0.000001,30")) == "1e-06,30"
+        code, out = run(capsys, "predict", "--beam", "0.000001,30")
+        assert code == 0
+        assert body_of(out).splitlines()[1].startswith("1e-06,30,")
 
 
 class TestTeleportCommand:
@@ -631,6 +708,25 @@ class TestConfigSchema:
     def test_flag_value_errors_name_the_key(self, capsys, flag, key):
         assert cli.main(["simulate", "--seed", "1", flag]) == 1
         assert f"config key {key} = " in capsys.readouterr().err
+
+    def test_of_a_file_and_a_flag_refusal_the_first_key_in_field_order_is_named(self, capsys, tmp_path):
+        # beam_magnitude precedes epsilon in ExperimentConfig, so the flag's refusal is named, with the bare message
+        path = tmp_path / "range.cfg"
+        path.write_text("epsilon = 1.5\n")
+        assert cli.main(["predict", "--config", str(path), "--magnitude", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "spinport: error: beam_magnitude 2.0 outside [0, 1]\n"
+
+    def test_of_two_file_refusals_the_first_key_in_field_order_is_named(self, capsys, tmp_path):
+        # the file's order does not matter: epsilon's line comes first, beam_magnitude is checked first
+        path = tmp_path / "range.cfg"
+        path.write_text("epsilon = 1.5\nbeam_magnitude = 2\n")
+        assert cli.main(["predict", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"spinport: error: config file {str(path)!r}: "
+                                "config key beam_magnitude = '2': beam_magnitude 2.0 outside [0, 1]\n")
 
     def test_an_unknown_axis_name_is_named(self, capsys):
         assert cli.main(["simulate", "--seed", "1", "--axes", "x,q"]) == 1

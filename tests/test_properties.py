@@ -1,16 +1,31 @@
 """Property-based tests of config serialisation, the analytic model and the Monte Carlo."""
 
+import contextlib
 import dataclasses
+import io
+import tempfile
+from pathlib import Path
 
 import numpy as np
-from hypothesis import given, reject, settings
+import pytest
+from hypothesis import Phase, given, reject, settings
 from hypothesis import strategies as st
 
 from helpers import searchsorted_index
-from spinport import cli
+from spinport import cli, reaction
+from spinport.bellkit import BELL_ORDER, BellLabel, decompose_12
 from spinport.reaction import ExperimentConfig, PolarimetryEstimate, TargetSpec, event_records, predict, simulate
-from spinport.spinalg import _norm
-from spinport.teleport import SIGMA_Z, BeamState, _philox, _philox_first_uniform, index_from_uniform, run_sampled
+from spinport.spinalg import ATOL_ALGEBRA, _norm, bloch_from, density_from, tensor
+from spinport.teleport import (
+    SIGMA_Z,
+    BeamState,
+    _philox,
+    _philox_first_uniform,
+    index_from_uniform,
+    prepare_beam,
+    prepare_deuteron,
+    run_sampled,
+)
 
 # Derandomized and without an example database: the same examples on every
 # run, and nothing written next to the sources.
@@ -34,6 +49,15 @@ def targets(draw):
     if weights.sum() < 1e-3:
         reject()
     return TargetSpec(*(weights / weights.sum()))
+
+
+@st.composite
+def near_pole_directions(draw):
+    """Unit directions whose transverse part is 1e-12 to 1e-4, about +z or -z."""
+    transverse = 10.0 ** draw(st.floats(-12.0, -4.0))
+    phi = draw(st.floats(0.0, 2.0 * np.pi))
+    pole = draw(st.sampled_from([1.0, -1.0]))
+    return transverse * np.cos(phi), transverse * np.sin(phi), pole * np.sqrt(1.0 - transverse**2)
 
 
 configs = st.builds(
@@ -66,6 +90,61 @@ def test_config_round_trips_through_its_text(config):
     assert len(restored.analyzer_axes) == len(config.analyzer_axes)
     assert all(np.array_equal(a, b) for a, b in zip(restored.analyzer_axes, config.analyzer_axes))
     assert cli.config_items(restored) == cli.config_items(config)
+
+
+#: Texts each config key refuses, by the parser of its file text: a scalar key's by its type, the others'
+#: by key, as (file texts, flag texts) where the flag's grammar differs.
+SCALAR_CORRUPTIONS = {
+    float: ["nan", "inf", "-inf", "-2", "1e999", "abc", ""],
+    int: ["1e5", "-1", "1.5", "nan", "inf", "x", ""],
+}
+SHAPED_CORRUPTIONS = {
+    "beam_direction": (["nan,0,1", "1,2", "q", "1,1,1", "inf,0,0", "0,0,0"], ["nan,0", "1,2,3", "q", "0,inf", ""]),
+    "target": ["0.5,0.5,0.5", "nan,1,0", "1,0", "-0.5,1.5,0", "1,0,0,0", "a,b,c"],
+    "analyzer_axes": (["x;q", "1,2", "nan,0,0", "0,0,0", "x;;y", ""], ["x,q", "q", "x,,z", "1,0,0", ""]),
+}
+#: A valid flag text for each key whose flag grammar differs from its file text.
+FLAG_TEXTS = {"beam_direction": "30,-40", "analyzer_axes": "-y,z"}
+
+
+def corruptions(key: str, source: str) -> list[str]:
+    field = cli._CONFIG_FIELDS[key]
+    if field.parse in SCALAR_CORRUPTIONS:
+        return SCALAR_CORRUPTIONS[field.parse]
+    texts = SHAPED_CORRUPTIONS[key]
+    return texts if field.flag_parse is None else texts[source == "flag"]
+
+
+def run_cli(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("key, source", [(key, source) for key, field in cli._CONFIG_FIELDS.items()
+                                         for source in ("file", "flag") if source == "file" or field.flag])
+# No shrinking: each step of it is a full CLI run, and a broken refusal path took minutes to report.
+@settings(PROPERTY, max_examples=20, phases=(Phase.explicit, Phase.generate))
+@given(config=configs, events=st.integers(1, 20), seed=st.integers(0, 2**128 - 1), data=st.data())
+def test_a_corrupt_config_value_exits_1_naming_its_key(key, source, config, events, seed, data):
+    # A valid config, written out through the key table, with one key's value corrupted in the file or its flag.
+    valid = dict(cli.config_items(dataclasses.replace(config, events=events, seed=seed)))
+    field = cli._CONFIG_FIELDS[key]
+    bad = data.draw(st.sampled_from(corruptions(key, source)))
+    subcommand = "simulate" if field.simulate_only else data.draw(st.sampled_from(["predict", "simulate"]))
+    texts = {**valid, key: bad} if source == "file" else valid
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.cfg"
+        path.write_text("".join(f"{name} = {text}\n" for name, text in texts.items()))
+        argv = [subcommand, "--config", str(path)]
+        code, out, err = run_cli(argv + ([f"{field.flag}={bad}"] if source == "flag" else []))
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("spinport") and key in err and "Traceback" not in err
+        if source == "file" and field.flag:
+            # the key's flag makes the corrupt file value irrelevant
+            code, out, err = run_cli(argv + [f"{field.flag}={FLAG_TEXTS.get(key, valid[key])}"])
+            assert (code, err) == (0, "") and out
 
 
 SCALAR_BOUNDS = {"beam_magnitude": (0.0, 1.0), "epsilon": (0.0, 1.0), "k_transfer": (-1.0, 1.0)}
@@ -181,3 +260,20 @@ def norm_inputs(draw):
 def test_the_private_norm_is_numpys_bit_for_bit(x):
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         assert np.float64(_norm(x)).tobytes() == np.float64(np.linalg.norm(x)).tobytes()
+
+
+@PROPERTY
+@given(unit_vectors() | near_pole_directions())
+def test_the_reaction_tables_are_what_bellkit_computes(direction):
+    # reaction's Monte Carlo reads _BELL_WEIGHTS and _BRANCH_SIGNS; the exact protocol must give the same
+    # Born weights and conditional Bloch vectors, over the sphere and within 1e-12 to 1e-4 of either pole.
+    n = np.array(direction)
+    decomposition = decompose_12(tensor(prepare_beam(BeamState.from_direction(n)), prepare_deuteron()))
+    weights = [decomposition.probability(label) for label in BELL_ORDER]
+    assert np.allclose(weights, reaction._BELL_WEIGHTS, atol=ATOL_ALGEBRA, rtol=0)
+    for signs, label in zip(reaction._BRANCH_SIGNS, BELL_ORDER):
+        conditional = bloch_from(density_from(decomposition.conditional(label))).as_array()
+        assert np.allclose(conditional, signs * n, atol=ATOL_ALGEBRA, rtol=0)
+    # the discriminated singlet carries the teleported image (-Px, -Py, Pz)
+    singlet = bloch_from(density_from(decomposition.conditional(BellLabel.PSI_MINUS))).as_array()
+    assert np.allclose(singlet, [-n[0], -n[1], n[2]], atol=ATOL_ALGEBRA, rtol=0)

@@ -25,7 +25,7 @@ from spinport.reaction import (
     simulate,
     target_moments,
 )
-from spinport.spinalg import bloch_from, density_from, pauli, tensor
+from spinport.spinalg import DimensionError, SpinAlgebraError, bloch_from, density_from, pauli, tensor
 from spinport.teleport import BeamState, _philox, prepare_beam, prepare_deuteron
 
 X, Y, Z = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)
@@ -132,6 +132,33 @@ class TestExperimentConfig:
             config(seed="7")
         with pytest.raises(ValueError, match="seed .* outside"):
             config(seed=2**1100)
+
+    @pytest.mark.parametrize(
+        "key, bad, error",
+        [
+            ("beam_direction", (1.0, 0.0), DimensionError),
+            ("beam_direction", (1.0, 1.0, 0.0), SpinAlgebraError),
+            ("beam_magnitude", 1.5, ValueError),
+            ("epsilon", np.nan, ValueError),
+            ("k_transfer", "0.1", ValueError),
+            ("target", (0.0, 1.0, 0.0), ValueError),
+            ("events", 0, ValueError),
+            ("seed", -1, ValueError),
+            ("beam_energy_mev", np.inf, ValueError),
+            ("analyzer_axes", ((0.0, 0.0, 0.0),), SpinAlgebraError),
+            ("analyzer_axes", (), ValueError),
+        ],
+    )
+    def test_a_refusal_carries_its_key(self, key, bad, error):
+        with pytest.raises(error) as excinfo:
+            config(**{key: bad})
+        assert type(excinfo.value) is error
+        assert excinfo.value.key == key
+
+    def test_the_first_key_refused_in_field_order_is_named(self):
+        with pytest.raises(ValueError, match="^beam_magnitude 2.0 outside") as excinfo:
+            config(beam_energy_mev=-1.0, seed=-1, epsilon=1.5, beam_magnitude=2.0)
+        assert excinfo.value.key == "beam_magnitude"
 
     def test_default_axes_are_validated_once(self, monkeypatch):
         assert [axis.tolist() for axis in reaction._DEFAULT_AXES] == [list(v) for v in reaction.AXIS_VECTORS.values()]

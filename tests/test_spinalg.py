@@ -8,6 +8,7 @@ import scipy.linalg
 
 from helpers import random_ket, random_unit_vector
 from spinport.spinalg import (
+    ATOL_COMPOSED,
     BlochVector,
     DensityMatrix,
     DimensionError,
@@ -388,6 +389,15 @@ class TestKetFromDirection:
             n = random_unit_vector(rng)
             p = bloch_from(density_from(ket_from_direction(n)))
             assert np.allclose(p.as_array(), n, atol=1e-10)
+
+    @pytest.mark.parametrize("pole", (1.0, -1.0))
+    @pytest.mark.parametrize("transverse", [10.0**-k for k in range(13)])
+    def test_round_trip_near_the_poles(self, pole, transverse):
+        # the polar angle from arccos(z) kept only ~1e-8 of a 1e-8 transverse part: (1e-8, 0, 1) became |0>
+        for phi in np.linspace(0.0, 2.0 * np.pi, 7):
+            n = np.array([transverse * np.cos(phi), transverse * np.sin(phi), pole * np.sqrt(1.0 - transverse**2)])
+            p = bloch_from(density_from(ket_from_direction(n)))
+            assert np.abs(p.as_array() - n).max() <= ATOL_COMPOSED
 
 
 class TestStateInvariants:
