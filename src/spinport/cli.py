@@ -19,7 +19,6 @@ import argparse
 import atexit
 import contextlib
 import gc
-import itertools
 import json
 import os
 import sys
@@ -215,9 +214,11 @@ def _manifest(subcommand: str, params: list[tuple[str, str]]) -> list[tuple[str,
 
 
 def _cell(value) -> str:
-    if isinstance(value, float):
-        return _fmt(value)
-    return str(value)
+    """One CSV cell; text holding a comma, a quote or a line break is quoted, inner quotes doubled (RFC 4180)."""
+    text = _fmt(value) if isinstance(value, float) else str(value)
+    if any(char in text for char in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _json_value(value):
@@ -289,14 +290,15 @@ def cmd_predict(args) -> int:
     return 0
 
 
-#: Event lines joined into one string per write. A batch's line strings, its
-#: text and the encoded copy add to peak RSS: 1.5 MB at 4096 lines, 3.2 MB at
-#: 8192, which write no faster.
+#: Events per JSON-lines chunk: drawn together, formatted into one string and
+#: written at once; the draw's bits do not depend on it. A chunk's line strings,
+#: its text and the encoded copy add to peak RSS: 1.5 MB at 4096 events, 3.2 MB
+#: at 8192, which write no faster.
 _EVENT_BATCH = 4096
 
 
-def _event_text(records: Iterable[reaction.EventRecord], n_axes: int) -> Iterator[str]:
-    """The records' JSON lines, joined in batches of ``_EVENT_BATCH`` lines.
+def _event_text(chunks: Iterable[Iterable[reaction.EventRecord]], n_axes: int) -> Iterator[str]:
+    """Each chunk's records as JSON lines, joined into one string per chunk.
 
     Each line is its event id followed by one of ``2 * n_axes * 2`` tails,
     built once and looked up as ``tails[accepted][axis_index][spin_outcome]``;
@@ -306,10 +308,9 @@ def _event_text(records: Iterable[reaction.EventRecord], n_axes: int) -> Iterato
                         for spin in (1, -1)]
               for axis in range(n_axes)]
              for accepted in ("false", "true")]
-    lines = (f'{{"type": "event", "event_id": {r.event_id}{tails[r.accepted][r.axis_index][r.spin_outcome]}'
-             for r in records)
-    while batch := "".join(itertools.islice(lines, _EVENT_BATCH)):
-        yield batch
+    for records in chunks:
+        yield "".join([f'{{"type": "event", "event_id": {r.event_id}{tails[r.accepted][r.axis_index][r.spin_outcome]}'
+                       for r in records])
 
 
 def cmd_simulate(args) -> int:
@@ -320,10 +321,10 @@ def cmd_simulate(args) -> int:
         [float(e.axis[0]), float(e.axis[1]), float(e.axis[2]), e.p_hat, e.sigma, e.n_events]
         for e in estimates
     ]
-    # The estimates precede the events, so JSON lines draws the seeded stream
-    # a second time and streams it in batches, instead of holding every event.
+    # The estimates precede the events, so JSON lines draws the seeded stream a second
+    # time, in _EVENT_BATCH-event chunks written one at a time, instead of holding every event.
     event_text = () if args.format == "csv" else _event_text(
-        reaction.event_records(config), len(config.analyzer_axes))
+        reaction._record_chunks(config, _EVENT_BATCH), len(config.analyzer_axes))
     _emit(args, _manifest("simulate", config_items(config)), header, rows,
           row_type="estimate", tail_text=event_text)
     return 0

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -338,7 +339,7 @@ def _event_columns(config: ExperimentConfig, chunk_size: int, *, accepted_only: 
         teleported = uniforms[:, 0] < p_teleported
         spin = np.where(uniforms[:, 2] < p_up[teleported.astype(np.intp), slot, axis_index], 1, -1)
         # Hold no chunk while the next one is drawn: the caller frees what it was given. Without any one del here
-        # or in event_records, test_each_chunk_is_released_before_the_next_is_drawn peaks at 2.6-2.9 > 2.5 blocks.
+        # or in _record_chunks, test_each_chunk_is_released_before_the_next_is_drawn peaks at 2.6-2.9 > 2.5 blocks.
         del uniforms, event_id, teleported, slot
         yield start, accepted, axis_index, spin
         del accepted, axis_index, spin
@@ -359,14 +360,19 @@ def simulate(config: ExperimentConfig, *, chunk_size: int = _DEFAULT_CHUNK) -> l
     return [PolarimetryEstimate.from_counts(*counted) for counted in zip(config.analyzer_axes, n_plus, n_minus)]
 
 
-def event_records(config: ExperimentConfig, *, chunk_size: int = _DEFAULT_CHUNK) -> Iterator[EventRecord]:
-    """The events ``simulate`` counts, drawn again, as ``EventRecord``s built chunk by chunk."""
+def _record_chunks(config: ExperimentConfig, chunk_size: int) -> Iterator[Iterator[EventRecord]]:
+    """The events ``simulate`` counts, drawn again: one lazy ``map`` to ``EventRecord``s per chunk."""
     for first_id, accepted, axis_index, spin in _event_columns(config, chunk_size):
         records = map(EventRecord, range(first_id, first_id + len(spin)),
                       accepted.tolist(), axis_index.tolist(), spin.tolist())
         del accepted, axis_index, spin
-        yield from records
+        yield records
         del records
+
+
+def event_records(config: ExperimentConfig, *, chunk_size: int = _DEFAULT_CHUNK) -> Iterator[EventRecord]:
+    """The events ``simulate`` counts, drawn again, as ``EventRecord``s built chunk by chunk."""
+    return chain.from_iterable(_record_chunks(config, chunk_size))
 
 
 def acceptance_fraction(records: Iterable[EventRecord]) -> float:

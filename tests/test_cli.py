@@ -1,9 +1,11 @@
 """Tests for the command-line front end."""
 
 import argparse
+import csv
 import dataclasses
 import gc
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -39,9 +41,10 @@ def manifest_of(text: str) -> dict[str, str]:
 
 
 def csv_rows(text: str) -> list[dict[str, str]]:
-    lines = body_of(text).splitlines()
-    header = lines[0].split(",")
-    return [dict(zip(header, line.split(","))) for line in lines[1:]]
+    """The table after the manifest, read as CSV: a row wider or narrower than the header fails."""
+    rows = list(csv.reader(io.StringIO(body_of(text))))
+    assert all(len(row) == len(rows[0]) for row in rows), [len(row) for row in rows]
+    return [dict(zip(rows[0], row)) for row in rows[1:]]
 
 
 _BEAM_HELP = "beam axis (x|y|z, optional sign; write --beam=-x for negative axes) or 'theta,phi' in degrees"
@@ -138,7 +141,7 @@ class TestBeamParsing:
         assert cli.beam_label(cli.parse_beam_spec("0.000001,30")) == "1e-06,30"
         code, out = run(capsys, "predict", "--beam", "0.000001,30")
         assert code == 0
-        assert body_of(out).splitlines()[1].startswith("1e-06,30,")
+        assert csv_rows(out)[0]["beam_axis"] == "1e-06,30"
 
 
 class TestTeleportCommand:
@@ -236,6 +239,23 @@ class TestPredictCommand:
         assert cli.main(["predict", "--beam", "x"]) == 2
         assert "has norm > 1" in capsys.readouterr().err
 
+    def test_an_oblique_beam_label_is_one_quoted_cell(self, capsys):
+        code, out = run(capsys, "predict", "--beam", "120,-75")
+        assert code == 0
+        assert body_of(out).splitlines()[1].startswith('"120,-75",0.224143868042,')
+        rows = csv_rows(out)
+        assert [row["beam_axis"] for row in rows] == ["120,-75", "120,-75"]
+        assert float(rows[0]["beam_px"]) == pytest.approx(0.224143868042, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "value, cell",
+        [("x", "x"), (0.5, "0.5"), (3, "3"), ("30,40", '"30,40"'), ('a "b"', '"a ""b"""'),
+         ("a\nb", '"a\nb"'), ("a\rb", '"a\rb"')],
+    )
+    def test_a_cell_is_quoted_as_rfc_4180_says(self, value, cell):
+        assert cli._cell(value) == cell
+        assert next(csv.reader(io.StringIO(cell, newline=""))) == [str(value)]
+
     def test_jsonl_format(self, capsys):
         code, out = run(capsys, "predict", "--beam", "y", "--format", "jsonl")
         assert code == 0
@@ -249,7 +269,7 @@ class TestPredictCommand:
     @pytest.mark.parametrize(
         "fmt, digest",
         [
-            ("csv", "57504979ac3ddb919ebc99b28ef3535ddde90ef297baf332ca02236e00d31b05"),
+            ("csv", "0eac9d8e7fa1e52df1dd149b3a9774fbb8ba14d4380071c2c90039bd4351e03d"),
             ("jsonl", "bedfb052ebb8e628f4165445d7b30332486b18e21ab5b21491a459ee62bbf2eb"),
         ],
     )
@@ -345,8 +365,9 @@ class TestSimulateCommand:
         ],
     )
     def test_event_lines_are_the_records_as_json(self, tmp_path, axes, events, digest):
-        # Both runs cross write batches (4096 lines) and chunks (16384 events),
-        # neither at a multiple of either; one axis and four.
+        # Both runs cross JSON-lines chunks (4096 events, one write each) and
+        # simulate's chunks (16384 events), neither at a multiple of either;
+        # one axis and four.
         out = tmp_path / "run"
         argv = ["simulate", "--seed", "11", "--events", events, f"--axes={axes}", "--epsilon", "0.2"]
         assert cli.main(argv + ["--format", "jsonl", "--out", str(out)]) == 0
@@ -356,6 +377,20 @@ class TestSimulateCommand:
                     for r in reaction.event_records(config)]
         lines = out.read_text().splitlines(keepends=True)
         assert [line for line in lines if line.startswith('{"type": "event"')] == expected
+
+    @pytest.mark.parametrize(
+        "events, digest",
+        [
+            ("1", "385834a7491ebc20efbd925eac3e013a5caed9121d381022c2d380f666bf06cd"),
+            ("8192", "f1202cd622fef0acf8c443cd06ecae94b4a958c6d21414700ae76460ec50f584"),
+        ],
+    )
+    def test_golden_digest_at_the_json_lines_chunk_edges(self, tmp_path, events, digest):
+        # One event is one chunk of one line; 8192 events are exactly two
+        # 4096-event chunks, so no partial chunk ends the run.
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--seed", "7", "--events", events, "--format", "jsonl", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_byte_identical_reruns(self, tmp_path):
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -427,10 +462,16 @@ class TestEventRecordValidation:
 
     @pytest.mark.parametrize("fmt, records", [("jsonl", 20000), ("csv", 0)])
     def test_each_json_lines_event_is_validated_once(self, tmp_path, validated, fmt, records):
-        # 20000 events cross the 16384-event chunk
+        # 20000 events are four whole 4096-event JSON-lines chunks and a partial fifth
         out = tmp_path / "run"
         assert cli.main(["simulate", "--seed", "7", "--events", "20000", "--format", fmt, "--out", str(out)]) == 0
         assert validated["records"] == records
+
+    def test_whole_json_lines_chunks_validate_each_event_once(self, tmp_path, validated):
+        # 8192 events are exactly two 4096-event chunks: no partial chunk, and no empty one after them
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--seed", "7", "--events", "8192", "--format", "jsonl", "--out", str(out)]) == 0
+        assert validated["records"] == 8192
 
     def test_event_records_validates_each_record_once(self, validated):
         config = ExperimentConfig(events=5000, seed=3)

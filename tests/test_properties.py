@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import io
+import json
 import tempfile
 from pathlib import Path
 
@@ -145,6 +146,26 @@ def test_a_corrupt_config_value_exits_1_naming_its_key(key, source, config, even
             # the key's flag makes the corrupt file value irrelevant
             code, out, err = run_cli(argv + [f"{field.flag}={FLAG_TEXTS.get(key, valid[key])}"])
             assert (code, err) == (0, "") and out
+
+
+@settings(PROPERTY, max_examples=50)
+@given(config=configs, events=st.integers(1, 1000), seed=st.integers(0, 2**128 - 1),
+       batch=st.sampled_from([1, 7, 4096]) | st.integers(1, 1100))
+def test_json_lines_events_do_not_depend_on_the_event_batch(config, events, seed, batch):
+    # simulate draws, formats and writes its JSON-lines events cli._EVENT_BATCH at a time; the bytes must not
+    # show where one chunk ends, and each event line is its record through json.dumps.
+    config = dataclasses.replace(config, events=events, seed=seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.cfg"
+        path.write_text("".join(f"{key} = {text}\n" for key, text in cli.config_items(config)))
+        runs = []
+        for size in (4096, batch):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(cli, "_EVENT_BATCH", size)
+                runs.append(run_cli(["simulate", "--config", str(path), "--format", "jsonl"]))
+    assert runs[1] == runs[0] and runs[0][0] == 0
+    expected = [json.dumps({"type": "event", **dataclasses.asdict(r)}) + "\n" for r in event_records(config)]
+    assert [line for line in runs[0][1].splitlines(keepends=True) if line.startswith('{"type": "event"')] == expected
 
 
 SCALAR_BOUNDS = {"beam_magnitude": (0.0, 1.0), "epsilon": (0.0, 1.0), "k_transfer": (-1.0, 1.0)}
