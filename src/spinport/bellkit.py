@@ -20,9 +20,11 @@ return. The ``_``-functions under them (``_project_12``, ``_split``,
 ``_project``) are pure algebra on raw amplitude arrays, which ``teleport``'s
 exact protocol calls with a beam that ``BeamState`` has already tested; the
 one refusal among them is ``_project``'s, of a zero-probability outcome.
-Every conditional and reconstruction is a fresh array of that algebra, which
-``spinalg._ket`` wraps unchecked; only a zero branch's placeholder goes
-through ``Ket(...)``.
+``_project`` multiplies only the Bell row it is asked for, by the one
+vector-matrix product of the test suite's oracle, which gives the bits of that
+row of ``_project_12``. Every conditional and reconstruction is a fresh array
+of that algebra, which ``spinalg._ket`` wraps unchecked; only a zero branch's
+placeholder goes through ``Ket(...)``.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ _BELL_AMPLITUDES = {
 #: matrix product rounds differently in the last bit for general states).
 _BELL_ROWS = np.array([[_BELL_AMPLITUDES[label].conj()] for label in BELL_ORDER])
 _BELL_ROWS.setflags(write=False)
-_BELL_INDEX = {label: row for row, label in enumerate(BELL_ORDER)}
+_BELL_ROW = {label: row[0] for label, row in zip(BELL_ORDER, _BELL_ROWS)}
 _BELL_LABELS = frozenset(BellLabel)
 
 
@@ -93,7 +95,7 @@ def bell_states() -> dict[BellLabel, Ket]:
     return {label: Ket(amps) for label, amps in _BELL_AMPLITUDES.items()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BellBranch:
     """One branch of a Bell decomposition.
 
@@ -103,6 +105,10 @@ class BellBranch:
 
     coefficient: complex
     conditional: Ket
+
+    def __init__(self, coefficient: complex, conditional: Ket) -> None:
+        fields = self.__dict__
+        fields["coefficient"], fields["conditional"] = coefficient, conditional
 
     @property
     def defined(self) -> bool:
@@ -172,7 +178,7 @@ def _project_12(amplitudes: np.ndarray) -> np.ndarray:
 
 def _project(amplitudes: np.ndarray, b: BellLabel) -> tuple[float, np.ndarray]:
     """Probability of outcome ``b`` of dim-8 ``amplitudes`` and the normalized particle-3 conditional."""
-    coefficient, conditional = _split(_project_12(amplitudes)[_BELL_INDEX[b]])
+    coefficient, conditional = _split(_BELL_ROW[b] @ amplitudes.reshape(4, 2))
     probability = abs(coefficient) ** 2
     if probability < 1e-14:
         raise ZeroProbabilityError(f"outcome {b.value} has zero probability; conditional undefined")

@@ -111,6 +111,15 @@ def target_moments(t: TargetSpec) -> tuple[float, float]:
     return t.p_plus - t.p_minus, t.p_plus + t.p_minus - 2.0 * t.p_zero
 
 
+def _axes(value, key: str) -> tuple[np.ndarray, ...]:
+    """Each analyzer axis of ``value`` as a unit 3-vector; ``_DEFAULT_AXES`` as it is."""
+    if value is _DEFAULT_AXES:
+        return value
+    if not isinstance(value, Iterable):
+        raise ValueError(f"{key} {value!r} is not a sequence of axes")
+    return tuple(unit_vector(axis, "analyzer axis") for axis in value)
+
+
 #: How ``ExperimentConfig`` checks each key, in field order: ``coerce(value, key)``, then ``valid(value)``
 #: (None: no test) and its ``refusal``. The first error raised, of either, gets its key as ``key``.
 _CONFIG_CHECKS = {
@@ -122,10 +131,7 @@ _CONFIG_CHECKS = {
     "events": (_integer, lambda value: value >= 1, "events must be positive, got {value}"),
     "seed": (lambda value, key: None if value is None else _seed(value), None, ""),
     "beam_energy_mev": (_real, lambda value: 0.0 < value < np.inf, "{key} {value} is not a positive finite energy"),
-    "analyzer_axes": (
-        lambda value, key: value if value is _DEFAULT_AXES else tuple(unit_vector(a, "analyzer axis") for a in value),
-        bool, "at least one analyzer axis is required",
-    ),
+    "analyzer_axes": (_axes, bool, "at least one analyzer axis is required"),
 }
 
 
@@ -171,11 +177,12 @@ class ModelPrediction:
     enhancement: float
 
 
-def _channel_model(config: ExperimentConfig) -> tuple[float, np.ndarray, np.ndarray]:
-    """Channel weight w, conventional Bloch vector, and each Bell branch's Bloch vector in ``BELL_ORDER``."""
+def _channel_model(config: ExperimentConfig, signs: np.ndarray = _BRANCH_SIGNS) -> tuple[float, np.ndarray, np.ndarray]:
+    """Channel weight w, conventional Bloch vector, and the Bloch vector of the Bell branch whose row of
+    ``_BRANCH_SIGNS`` is ``signs``; by default of each branch, one row per label in ``BELL_ORDER``."""
     beam = config.beam_bloch()
     w = config.target.p_zero * (1.0 - config.epsilon)
-    return w, np.array([0.0, config.k_transfer * beam[1], 0.0]), _BRANCH_SIGNS * beam
+    return w, np.array([0.0, config.k_transfer * beam[1], 0.0]), signs * beam
 
 
 def predict(config: ExperimentConfig) -> ModelPrediction:
@@ -187,8 +194,8 @@ def predict(config: ExperimentConfig) -> ModelPrediction:
         teleported   = w * (-P_x, -P_y, P_z) + (1 - w) * conventional
         enhancement  = |teleported| / max(|conventional|, 1e-6)
     """
-    w, conventional, branches = _channel_model(config)
-    teleported = w * branches[_SINGLET_INDEX] + (1.0 - w) * conventional
+    w, conventional, singlet = _channel_model(config, _BRANCH_SIGNS[_SINGLET_INDEX])
+    teleported = w * singlet + (1.0 - w) * conventional
     enhancement = _norm(teleported) / max(_norm(conventional), ENHANCEMENT_FLOOR)
     return ModelPrediction(
         qt_bloch=BlochVector(*teleported.tolist()),
@@ -277,8 +284,12 @@ class PolarimetryEstimate:
         object.__setattr__(self, "axis", unit_vector(self.axis, "analyzer axis"))
         if _integer(self.n_events, "n_events") < 0:
             raise ValueError(f"n_events {self.n_events} is negative")
+        _real(self.p_hat, "p_hat")
+        _real(self.sigma, "sigma")
         if self.n_events > 0 and not abs(self.p_hat) <= 1.0:
             raise ValueError(f"|p_hat| = {abs(self.p_hat)} exceeds 1")
+        if self.n_events > 0 and not 0.0 <= self.sigma < np.inf:
+            raise ValueError(f"sigma {self.sigma} is not a finite value >= 0")
 
     @property
     def defined(self) -> bool:

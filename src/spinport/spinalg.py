@@ -27,6 +27,12 @@ just computed, with no copy and no check; ``normalize`` uses it.
 ``tensor`` keeps ``Ket(...)``: ``perfbench``'s self-test traces a ``Ket``
 construction under ``tensor``, and ``_tensor`` returns a reshaped view, which
 the copy turns into an array that owns its data.
+
+``BlochVector``, ``bellkit.BellBranch`` and ``teleport.TeleportResult``, built
+per protocol run, store their fields in ``__dict__`` by a hand-written
+``__init__``, not one ``object.__setattr__`` per field as a generated frozen one
+does, and call ``__post_init__`` where the class has one: each check still runs
+once per construction.
 """
 
 from __future__ import annotations
@@ -175,7 +181,7 @@ class DensityMatrix:
         return self.dim.bit_length() - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BlochVector:
     """Polarization vector (<sigma_x>, <sigma_y>, <sigma_z>) of one spin-1/2."""
 
@@ -183,9 +189,12 @@ class BlochVector:
     py: float
     pz: float
 
+    def __init__(self, px: float, py: float, pz: float) -> None:
+        fields = self.__dict__
+        fields["px"], fields["py"], fields["pz"] = float(px), float(py), float(pz)
+        self.__post_init__()
+
     def __post_init__(self) -> None:
-        for name in ("px", "py", "pz"):
-            object.__setattr__(self, name, float(getattr(self, name)))
         if not all(map(math.isfinite, (self.px, self.py, self.pz))):
             raise InvariantError(f"Bloch vector ({self.px}, {self.py}, {self.pz}) is not finite")
         if not self.px**2 + self.py**2 + self.pz**2 <= 1.0 + ATOL_COMPOSED:
@@ -207,11 +216,17 @@ _PAULI = {
 
 
 def unit_vector(value: Iterable[float], what: str) -> np.ndarray:
-    """``value`` as a read-only unit 3-vector; ``what`` names it in errors.
+    """``value`` as a read-only unit 3-vector of real components; ``what`` names it in errors.
 
     The norm test is written so that NaN and infinite components fail it.
     """
-    v = np.array(tuple(value), dtype=float)
+    try:
+        v = np.array(tuple(value))
+    except (TypeError, ValueError):  # not iterable, or ragged
+        v = None
+    if v is None or v.dtype.kind not in "fiu":  # text, bool, complex and None components are refused
+        raise SpinAlgebraError(f"{what} must be a 3-vector of real numbers, got {value!r}")
+    v = v.astype(float, copy=False)
     if v.shape != (3,):
         raise DimensionError(f"{what} must be a 3-vector, got shape {v.shape}")
     norm = _norm(v)

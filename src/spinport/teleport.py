@@ -19,11 +19,14 @@ construction; ``_result`` ``neutron_post``, which a custom policy within
 are fresh arrays of this module or of ``bellkit``, so ``spinalg._ket`` wraps
 them without the copy and the checks of ``Ket(...)``, which stays the
 constructor for caller data. ``run_sampled``'s three-particle state comes from
-``spinalg.tensor``, which validates.
+``spinalg.tensor``, which validates. ``TeleportResult`` is built through a
+hand-written ``__init__`` (see ``spinalg``) that still runs its range checks
+once per result.
 """
 
 from __future__ import annotations
 
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -60,8 +63,11 @@ class BeamState:
     b: complex
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", complex(self.a))
-        object.__setattr__(self, "b", complex(self.b))
+        for name in ("a", "b"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Complex) or isinstance(value, bool):
+                raise SpinAlgebraError(f"amplitude {name} {value!r} is not a complex number")
+            object.__setattr__(self, name, complex(value))
         total = abs(self.a) ** 2 + abs(self.b) ** 2
         if not abs(total - 1.0) <= ATOL_ALGEBRA:
             raise NormalizationError(f"|a|^2 + |b|^2 = {total}, not 1 within 1e-12")
@@ -108,7 +114,7 @@ RY_PI = CorrectionPolicy("ry_pi", spinalg.rotation((0.0, 1.0, 0.0), np.pi))
 POLICIES = {policy.name: policy for policy in (NO_CORRECTION, SIGMA_Z, RY_PI)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TeleportResult:
     """Outcome of one protocol run.
 
@@ -122,6 +128,14 @@ class TeleportResult:
     neutron_post: Ket | None
     fidelity_pre: float
     fidelity_post: float | None
+
+    def __init__(self, outcome: BellLabel, probability: float, neutron_pre: Ket, neutron_post: Ket | None,
+                 fidelity_pre: float, fidelity_post: float | None) -> None:
+        fields = self.__dict__
+        fields["outcome"], fields["probability"] = outcome, probability
+        fields["neutron_pre"], fields["neutron_post"] = neutron_pre, neutron_post
+        fields["fidelity_pre"], fields["fidelity_post"] = fidelity_pre, fidelity_post
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.probability <= 1.0:

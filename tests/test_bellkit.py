@@ -275,6 +275,32 @@ class TestProjectBell:
                 assert probability == branches[label].probability
                 assert conditional.amplitudes.tobytes() == branches[label].conditional.amplitudes.tobytes()
 
+    def test_the_one_row_projection_is_the_oracle_and_the_decomposition_bit_for_bit(self):
+        # project_bell multiplies only the requested Bell row, decompose_12 all four rows in one product. In a
+        # third of the states some amplitudes are zero, so that a branch's first conditional amplitude can vanish
+        # and the lead amplitude, which fixes the phase, comes from the second entry, or the branch vanishes.
+        rng = np.random.default_rng(2003)
+        second_entry_leads = vanishing = 0
+        for n in range(2400):
+            amplitudes = rng.normal(size=8) + 1j * rng.normal(size=8)
+            if n % 3 == 0:
+                amplitudes[rng.permutation(8)[: rng.integers(1, 7)]] = 0.0
+            psi = Ket(amplitudes / np.linalg.norm(amplitudes))
+            branches = decompose_12(psi).branches
+            for label, (probability, conditional) in oracle_decomposition(psi.amplitudes).items():
+                if probability == 0.0:
+                    vanishing += 1
+                    assert not branches[label].defined
+                    with pytest.raises(ZeroProbabilityError):
+                        project_bell(psi, label)
+                    continue
+                projected_probability, projected = project_bell(psi, label)
+                assert projected_probability == probability == branches[label].probability
+                assert projected.amplitudes.tobytes() == conditional.tobytes()
+                assert projected.amplitudes.tobytes() == branches[label].conditional.amplitudes.tobytes()
+                second_entry_leads += conditional[0] == 0
+        assert second_entry_leads >= 200 and vanishing >= 100
+
     def test_input_validation(self):
         with pytest.raises(DimensionError):
             project_bell(Ket([1, 0]), BellLabel.PSI_MINUS)

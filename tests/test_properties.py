@@ -1,23 +1,34 @@
-"""Property-based tests of config serialisation, the analytic model and the Monte Carlo."""
+"""Property-based tests of config serialisation, the exact protocol, the analytic model and the Monte Carlo."""
 
 import contextlib
 import dataclasses
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, reject, settings
+from hypothesis import Phase, example, given, reject, settings
 from hypothesis import strategies as st
 
 from helpers import searchsorted_index
 from spinport import cli, reaction
-from spinport.bellkit import BELL_ORDER, BellLabel, decompose_12
-from spinport.reaction import ExperimentConfig, PolarimetryEstimate, TargetSpec, event_records, predict, simulate
-from spinport.spinalg import ATOL_ALGEBRA, _norm, bloch_from, density_from, tensor
+from spinport.bellkit import BELL_ORDER, BellLabel, decompose_12, singlet_projector
+from spinport.reaction import (
+    ENHANCEMENT_FLOOR,
+    ExperimentConfig,
+    PolarimetryEstimate,
+    TargetSpec,
+    event_records,
+    predict,
+    simulate,
+)
+from spinport.spinalg import ATOL_ALGEBRA, ATOL_COMPOSED, Ket, _norm, bloch_from, density_from, tensor
 from spinport.teleport import (
+    NO_CORRECTION,
+    RY_PI,
     SIGMA_Z,
     BeamState,
     _philox,
@@ -25,6 +36,7 @@ from spinport.teleport import (
     index_from_uniform,
     prepare_beam,
     prepare_deuteron,
+    run_postselected,
     run_sampled,
 )
 
@@ -298,3 +310,87 @@ def test_the_reaction_tables_are_what_bellkit_computes(direction):
     # the discriminated singlet carries the teleported image (-Px, -Py, Pz)
     singlet = bloch_from(density_from(decomposition.conditional(BellLabel.PSI_MINUS))).as_array()
     assert np.allclose(singlet, [-n[0], -n[1], n[2]], atol=ATOL_ALGEBRA, rtol=0)
+
+
+# The paper's physics over the whole Bloch sphere: beams from directions over
+# the sphere, along the six axes and within 1e-12 to 1e-4 of either pole, and
+# beams built straight from complex amplitudes, apart from ket_from_direction.
+SIX_AXES = [tuple(float(sign * (i == axis)) for i in range(3)) for axis in range(3) for sign in (1, -1)]
+directions = unit_vectors() | st.sampled_from(SIX_AXES) | near_pole_directions()
+
+
+@st.composite
+def normalized_amplitudes(draw, dim):
+    """A normalized complex ``dim``-vector; some of its components may be exactly zero."""
+    parts = st.floats(-1.0, 1.0) | st.just(0.0)
+    v = np.array(draw(st.tuples(*[parts] * dim))) + 1j * np.array(draw(st.tuples(*[parts] * dim)))
+    norm = float(np.linalg.norm(v))
+    if norm < 1e-3:
+        reject()
+    return v / norm
+
+
+beams = directions.map(BeamState.from_direction) | normalized_amplitudes(2).map(lambda v: BeamState(v[0], v[1]))
+
+
+def _protocol_state(beam: BeamState) -> Ket:
+    return tensor(prepare_beam(beam), prepare_deuteron())
+
+
+@PROPERTY
+@given(beams, beams, unit_floats)
+def test_every_bell_outcome_has_probability_one_quarter(beam, other, weight):
+    # Discriminating only psi- keeps a quarter of the events, for any beam.
+    assert all(abs(p - 0.25) <= ATOL_ALGEBRA for p in decompose_12(_protocol_state(beam)).probabilities().values())
+    assert abs(run_postselected(beam, NO_CORRECTION).probability - 0.25) <= ATOL_ALGEBRA
+    # A mixed beam too: the psi- projector traced against a mixture of two beams with the channel pair.
+    mixed = sum(w * density_from(_protocol_state(b)).entries for w, b in ((weight, beam), (1.0 - weight, other)))
+    assert abs(np.trace(singlet_projector().entries @ mixed) - 0.25) <= ATOL_ALGEBRA
+
+
+@PROPERTY
+@given(beams)
+def test_the_singlet_conditional_carries_the_teleported_image(beam):
+    p = beam.bloch()
+    image = bloch_from(density_from(run_postselected(beam, NO_CORRECTION).neutron_pre))
+    assert np.allclose(image.as_array(), [-p.px, -p.py, p.pz], atol=ATOL_COMPOSED, rtol=0)
+
+
+@PROPERTY
+@given(beams)
+def test_sigma_z_is_exact_and_ry_pi_keeps_only_the_x_component(beam):
+    # sigma_z undoes the sign flip of every input; ry_pi gives fidelity nx^2, so it works for x-axis inputs only.
+    assert abs(run_postselected(beam, SIGMA_Z).fidelity_post - 1.0) <= ATOL_COMPOSED
+    assert abs(run_postselected(beam, RY_PI).fidelity_post - beam.bloch().px ** 2) <= ATOL_COMPOSED
+
+
+@PROPERTY
+@given(beams.map(_protocol_state) | normalized_amplitudes(8).map(Ket))
+def test_the_decomposition_reconstructs_its_input(psi):
+    assert np.allclose(decompose_12(psi).reconstruct().amplitudes, psi.amplitudes, atol=ATOL_ALGEBRA, rtol=0)
+
+
+@PROPERTY
+@example(ExperimentConfig(beam_direction=(1.0, 0.0, 0.0)))  # no y component: the conventional vector vanishes
+@example(ExperimentConfig(k_transfer=0.0))
+@example(ExperimentConfig(beam_magnitude=0.0))  # nothing to teleport either
+@given(
+    st.builds(
+        ExperimentConfig,
+        beam_direction=directions,
+        beam_magnitude=unit_floats,
+        epsilon=unit_floats,
+        k_transfer=st.floats(-1.0, 1.0) | st.sampled_from([0.0, 1e-7, -1e-6]),
+        target=targets(),
+    )
+)
+def test_predict_follows_its_docstring_formula(config):
+    px, py, pz = (config.beam_magnitude * config.beam_direction).tolist()
+    w = config.target.p_zero * (1.0 - config.epsilon)
+    conventional = (0.0, config.k_transfer * py, 0.0)
+    teleported = (-w * px, -w * py + (1.0 - w) * conventional[1], w * pz)
+    prediction = predict(config)
+    assert np.allclose(prediction.conventional_bloch.as_array(), conventional, atol=ATOL_ALGEBRA, rtol=0)
+    assert np.allclose(prediction.qt_bloch.as_array(), teleported, atol=ATOL_ALGEBRA, rtol=0)
+    denominator = max(math.hypot(*conventional), ENHANCEMENT_FLOOR)
+    assert abs(prediction.enhancement * denominator - math.hypot(*teleported)) <= ATOL_ALGEBRA

@@ -155,6 +155,23 @@ class TestExperimentConfig:
         assert type(excinfo.value) is error
         assert excinfo.value.key == key
 
+    @pytest.mark.parametrize(
+        "key, bad, message",
+        [
+            ("beam_direction", 5, "beam_direction must be a 3-vector of real numbers, got 5"),
+            ("beam_direction", [1j, 0, 0], "beam_direction must be a 3-vector of real numbers, got [1j, 0, 0]"),
+            ("beam_direction", np.array([1j, 0, 0]), "beam_direction must be a 3-vector of real numbers, got array("),
+            ("beam_direction", "010", "beam_direction must be a 3-vector of real numbers, got '010'"),
+            ("analyzer_axes", 5, "analyzer_axes 5 is not a sequence of axes"),
+            ("analyzer_axes", ([1j, 0, 0],), "analyzer axis must be a 3-vector of real numbers, got [1j, 0, 0]"),
+            ("analyzer_axes", "xyz", "analyzer axis must be a 3-vector of real numbers, got 'x'"),
+        ],
+    )
+    def test_a_vector_that_is_not_of_real_numbers_is_refused_with_its_key(self, key, bad, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message)) as excinfo:
+            config(**{key: bad})
+        assert excinfo.value.key == key
+
     def test_the_first_key_refused_in_field_order_is_named(self):
         with pytest.raises(ValueError, match="^beam_magnitude 2.0 outside") as excinfo:
             config(beam_energy_mev=-1.0, seed=-1, epsilon=1.5, beam_magnitude=2.0)
@@ -411,6 +428,28 @@ class TestSimulate:
     def test_p_hat_outside_the_unit_interval_is_refused(self, p_hat):
         with pytest.raises(ValueError, match=re.escape(f"|p_hat| = {abs(p_hat)} exceeds 1")):
             PolarimetryEstimate(np.array(X), p_hat, 0.1, n_events=4)
+
+    @pytest.mark.parametrize("sigma", [-np.inf, np.inf, -0.1, np.nan])
+    def test_a_sigma_that_is_not_finite_and_non_negative_is_refused(self, sigma):
+        with pytest.raises(ValueError, match=re.escape(f"sigma {sigma} is not a finite value >= 0")):
+            PolarimetryEstimate(np.array(X), 0.5, sigma, n_events=4)
+
+    def test_an_undefined_estimate_keeps_nan(self):
+        estimate = PolarimetryEstimate(np.array(X), float("nan"), float("nan"), n_events=0)
+        assert not estimate.defined and np.isnan(estimate.p_hat) and np.isnan(estimate.sigma)
+        assert PolarimetryEstimate(np.array(X), 1.0, 0.0, n_events=1).sigma == 0.0
+
+    @pytest.mark.parametrize("key", ["p_hat", "sigma"])
+    @pytest.mark.parametrize("bad, shown", [("0.5", "'0.5'"), (None, "None"), (True, "True"), (0.5j, "0.5j")])
+    def test_an_estimate_that_is_not_a_real_number_is_refused_by_name(self, key, bad, shown):
+        values = {"p_hat": 0.5, "sigma": 0.1, key: bad}
+        with pytest.raises(ValueError, match=re.escape(f"{key} {shown} is not a real number")):
+            PolarimetryEstimate(np.array(X), n_events=4, **values)
+
+    @pytest.mark.parametrize("bad", [5, [1j, 0, 0]])
+    def test_an_axis_that_is_not_a_vector_of_real_numbers_is_refused_by_name(self, bad):
+        with pytest.raises(SpinAlgebraError, match="^analyzer axis must be a 3-vector of real numbers"):
+            PolarimetryEstimate(bad, 0.5, 0.1, n_events=4)
 
     def test_estimator_error_formula(self):
         estimate = PolarimetryEstimate.from_counts(np.array(X), 75, 25)

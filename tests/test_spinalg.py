@@ -272,6 +272,22 @@ class TestUnitVector:
         with pytest.raises(DimensionError, match="axis must be a 3-vector"):
             unit_vector((1.0, 0.0), "axis")
 
+    @pytest.mark.parametrize(
+        "bad",
+        [5, None, 1j, [1j, 0, 0], np.array([1j, 0.0, 0.0]), "100", ("1", "0", "0"), (True, False, False),
+         (None, 0.0, 0.0), ((1.0, 0.0), 0.0, 0.0)],
+        ids=["int", "None", "complex", "complex-component", "complex-array", "text", "text-components", "bools",
+             "None-component", "ragged"],
+    )
+    def test_what_is_not_a_vector_of_real_numbers_is_refused_by_name(self, bad):
+        with pytest.raises(SpinAlgebraError, match="^axis must be a 3-vector of real numbers, got "):
+            unit_vector(bad, "axis")
+
+    def test_integer_and_float32_components_become_float64(self):
+        for source in ((0, 0, 1), np.array([0, 0, 1]), np.array([0.0, 0.0, 1.0], dtype=np.float32)):
+            v = unit_vector(source, "axis")
+            assert v.dtype == np.float64 and v.tolist() == [0.0, 0.0, 1.0] and not v.flags.writeable
+
     def test_non_unit(self):
         with pytest.raises(SpinAlgebraError, match="axis must be unit length"):
             unit_vector((1.0, 1.0, 0.0), "axis")

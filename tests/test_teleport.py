@@ -88,6 +88,22 @@ class TestPreparation:
         with pytest.raises(NormalizationError):
             BeamState(0, bad)
 
+    @pytest.mark.parametrize("name", ["a", "b"])
+    @pytest.mark.parametrize("bad, shown", [("1", "'1'"), ("0j", "'0j'"), (None, "None"), (True, "True"), ([1], "[1]")])
+    def test_an_amplitude_that_is_not_a_complex_number_is_refused_by_name(self, name, bad, shown):
+        amplitudes = {"a": 1, "b": 0} if name == "b" else {"a": 0, "b": 1}
+        with pytest.raises(SpinAlgebraError, match=re.escape(f"amplitude {name} {shown} is not a complex number")):
+            BeamState(**{**amplitudes, name: bad})
+
+    def test_numpy_and_real_amplitudes_become_complex(self):
+        beam = BeamState(np.float64(0.6), np.complex128(0.8j))
+        assert (type(beam.a), type(beam.b)) == (complex, complex) and (beam.a, beam.b) == (0.6, 0.8j)
+
+    @pytest.mark.parametrize("bad", [5, [1j, 0, 0], "001"])
+    def test_from_direction_refuses_what_is_not_a_vector_of_real_numbers(self, bad):
+        with pytest.raises(SpinAlgebraError, match="^direction must be a 3-vector of real numbers"):
+            BeamState.from_direction(bad)
+
     def test_beam_state_from_direction(self):
         beam = BeamState.from_direction((0, 0, -1))
         assert np.allclose(beam.bloch().as_array(), [0, 0, -1], atol=1e-12)
