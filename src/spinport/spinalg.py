@@ -221,12 +221,16 @@ def unit_vector(value: Iterable[float], what: str) -> np.ndarray:
     The norm test is written so that NaN and infinite components fail it.
     """
     try:
-        v = np.array(tuple(value))
-    except (TypeError, ValueError):  # not iterable, or ragged
-        v = None
-    if v is None or v.dtype.kind not in "fiu":  # text, bool, complex and None components are refused
+        components = tuple(value)
+    except TypeError:  # not iterable
+        components = None
+    # Each component is checked, so a bool among floats, text, complex, None or a nested sequence is refused.
+    # A float (numpy's float64 too) skips the numbers.Real check, which costs ten times as much.
+    if components is None or not all(
+        isinstance(c, float) or isinstance(c, numbers.Real) and not isinstance(c, bool) for c in components
+    ):
         raise SpinAlgebraError(f"{what} must be a 3-vector of real numbers, got {value!r}")
-    v = v.astype(float, copy=False)
+    v = np.array(components, dtype=float)
     if v.shape != (3,):
         raise DimensionError(f"{what} must be a 3-vector, got shape {v.shape}")
     norm = _norm(v)

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from golden import GOLDEN
 from spinport import cli, reaction
 from spinport.reaction import ExperimentConfig
 from spinport.spinalg import BlochVector
@@ -169,30 +170,6 @@ class TestTeleportCommand:
         assert manifest["beam"] == "y"
         assert manifest["correction"] == "sigma_z"
 
-    def test_golden_digest(self, tmp_path):
-        # Pins the exact protocol bytes: any change to the projection, the
-        # correction or the formatting of `spinport teleport` shows here.
-        digest = hashlib.sha256()
-        for beam in ("x", "-x", "y", "z", "30,40", "120,-75", "90,45"):
-            for policy in ("none", "sigma_z", "ry_pi"):
-                out = tmp_path / f"{beam}-{policy}"
-                assert cli.main(["teleport", f"--beam={beam}", f"--correction={policy}", "--out", str(out)]) == 0
-                digest.update(out.read_bytes())
-        assert digest.hexdigest() == "e7898c798b4d53009be0a3fa846e1e15b80c3bf695c28eaca083aa81c41b2a57"
-
-    def test_golden_digest_of_json_lines(self, tmp_path):
-        # The 21 runs of test_golden_digest in --format jsonl, hashed in the same
-        # order as one sha256 over the concatenated files. JSON lines writes repr
-        # floats, so a change in the last bit of any amplitude shows here.
-        digest = hashlib.sha256()
-        for beam in ("x", "-x", "y", "z", "30,40", "120,-75", "90,45"):
-            for policy in ("none", "sigma_z", "ry_pi"):
-                out = tmp_path / f"{beam}-{policy}.jsonl"
-                argv = ["teleport", f"--beam={beam}", f"--correction={policy}", "--format", "jsonl", "--out", str(out)]
-                assert cli.main(argv) == 0
-                digest.update(out.read_bytes())
-        assert digest.hexdigest() == "340ef69f2cc5a61f81597c2f03cc463f2f4cc996f3b2b2b02af8307c4810718d"
-
 
 class TestPredictCommand:
     def test_reference_numbers(self, capsys):
@@ -266,32 +243,6 @@ class TestPredictCommand:
         assert lines[1]["model"] == "qt"
         assert lines[1]["neutron_py"] == -0.964
 
-    @pytest.mark.parametrize(
-        "fmt, digest",
-        [
-            ("csv", "0eac9d8e7fa1e52df1dd149b3a9774fbb8ba14d4380071c2c90039bd4351e03d"),
-            ("jsonl", "bedfb052ebb8e628f4165445d7b30332486b18e21ab5b21491a459ee62bbf2eb"),
-        ],
-    )
-    def test_golden_digest(self, tmp_path, fmt, digest):
-        # Pins predict's bytes over axis and oblique beams, epsilon 0 and 0.3,
-        # k != 0 and impure targets. JSON lines writes repr floats, so a change
-        # in the last bit shows there even where the 12-digit CSV hides it.
-        configs = (
-            ["--beam", "x"],
-            ["--beam", "y", "--epsilon", "0"],
-            ["--beam=-z", "--epsilon", "0.3", "--kyy", "0.25"],
-            ["--beam", "30,40", "--kyy", "-0.35"],
-            ["--beam", "120,-75", "--magnitude", "0.7", "--epsilon", "0.3", "--target", "0.1,0.85,0.05"],
-            ["--beam", "90,45", "--magnitude", "0.55", "--kyy", "0.6", "--target", "0.2,0.7,0.1"],
-        )
-        hashed = hashlib.sha256()
-        for index, flags in enumerate(configs):
-            out = tmp_path / str(index)
-            assert cli.main(["predict", *flags, "--format", fmt, "--out", str(out)]) == 0
-            hashed.update(out.read_bytes())
-        assert hashed.hexdigest() == digest
-
 
 class TestNonFiniteInputs:
     @pytest.mark.parametrize(
@@ -328,69 +279,19 @@ class TestSimulateCommand:
         assert "seed" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "fmt, digest",
-        [
-            ("csv", "4fb9680a6aa00d6ca39c807b5e52e362ceb1d53ea034f7495f3d0aca0b23b626"),
-            ("jsonl", "cfd96d615bfda4266fb327a3b790851d95b5c1b8c19302450e72cfdfc92ca724"),
-        ],
-    )
-    def test_golden_digest(self, tmp_path, fmt, digest):
-        # Pins the seeded byte contract: any change to sampling, ordering or
-        # formatting of `spinport simulate --seed 7 --events 20000` shows here.
-        out = tmp_path / "run"
-        assert cli.main(["simulate", "--seed", "7", "--events", "20000", "--format", fmt, "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
-
-    @pytest.mark.parametrize(
-        "fmt, events, digest",
-        [
-            ("csv", "150000", "cd7b2218253dbae219083eabc6bc84035f1354930fb06a83892cf4bc6a224a52"),
-            ("jsonl", "70000", "cded6ea88e65e387d78a921e35e1f743abd259ca3479b71cc6f3f89b3e7b575e"),
-        ],
-    )
-    def test_golden_digest_over_several_chunks(self, tmp_path, fmt, events, digest):
-        # Both runs span several 16384-event chunks and end inside one, so the
-        # chunk boundaries of the default partition are pinned as well.
-        out = tmp_path / "run"
-        argv = ["simulate", "--seed", "7", "--events", events, "--axes", "x,z", "--epsilon", "0.3"]
-        assert cli.main(argv + ["--format", fmt, "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
-
-    @pytest.mark.parametrize(
-        "axes, events, digest",
-        [
-            ("y", "16387", "b9fc57a75957208363fc920a885441358d59e0993575009af3bc6a9aa160192f"),
-            ("x,-y,z,-x", "73731", "0ce689e6adfa726d0d1b763ba38f0f84319ef5de102474c7c774e1c919cfe01d"),
-        ],
-    )
-    def test_event_lines_are_the_records_as_json(self, tmp_path, axes, events, digest):
-        # Both runs cross JSON-lines chunks (4096 events, one write each) and
-        # simulate's chunks (16384 events), neither at a multiple of either;
-        # one axis and four.
+    @pytest.mark.parametrize("axes, events", [("y", "16387"), ("x,-y,z,-x", "73731")])
+    def test_event_lines_are_the_records_as_json(self, tmp_path, axes, events):
+        # The runs of the golden rows simulate_one_axis_jsonl and simulate_four_axes_jsonl: both cross
+        # JSON-lines chunks (4096 events, one write each) and simulate's chunks (16384 events), neither
+        # at a multiple of either; one axis and four.
         out = tmp_path / "run"
         argv = ["simulate", "--seed", "11", "--events", events, f"--axes={axes}", "--epsilon", "0.2"]
         assert cli.main(argv + ["--format", "jsonl", "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
         config = cli.resolve_config({}, {"seed": "11", "events": events, "analyzer_axes": axes, "epsilon": "0.2"})
         expected = [json.dumps({"type": "event", **dataclasses.asdict(r)}) + "\n"
                     for r in reaction.event_records(config)]
         lines = out.read_text().splitlines(keepends=True)
         assert [line for line in lines if line.startswith('{"type": "event"')] == expected
-
-    @pytest.mark.parametrize(
-        "events, digest",
-        [
-            ("1", "385834a7491ebc20efbd925eac3e013a5caed9121d381022c2d380f666bf06cd"),
-            ("8192", "f1202cd622fef0acf8c443cd06ecae94b4a958c6d21414700ae76460ec50f584"),
-        ],
-    )
-    def test_golden_digest_at_the_json_lines_chunk_edges(self, tmp_path, events, digest):
-        # One event is one chunk of one line; 8192 events are exactly two
-        # 4096-event chunks, so no partial chunk ends the run.
-        out = tmp_path / "run"
-        assert cli.main(["simulate", "--seed", "7", "--events", events, "--format", "jsonl", "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_byte_identical_reruns(self, tmp_path):
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -529,9 +430,6 @@ class TestClosedReader:
 
 class TestShutdownFreeze:
     # Importing cli registers gc.freeze to run at interpreter shutdown; main itself never freezes.
-    JSONL_DIGEST = "cfd96d615bfda4266fb327a3b790851d95b5c1b8c19302450e72cfdfc92ca724"
-    CSV_DIGEST = "4fb9680a6aa00d6ca39c807b5e52e362ceb1d53ea034f7495f3d0aca0b23b626"
-
     @staticmethod
     def child(*argv: str) -> subprocess.CompletedProcess:
         src = Path(cli.__file__).resolve().parents[1]
@@ -554,15 +452,16 @@ class TestShutdownFreeze:
 
     def test_jsonl_file_written_through_out(self, tmp_path):
         out = tmp_path / "run.jsonl"
-        proc = self.child("-m", "spinport.cli", "simulate", "--seed", "7", "--events", "20000",
-                          "--format", "jsonl", "--out", str(out))
+        (argv,), digest = GOLDEN["simulate_jsonl"]
+        proc = self.child("-m", "spinport.cli", *argv, "--out", str(out))
         assert (proc.returncode, proc.stderr) == (0, b"")
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.JSONL_DIGEST
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_csv_through_a_buffered_stdout_pipe(self):
-        proc = self.child("-m", "spinport.cli", "simulate", "--seed", "7", "--events", "20000")
+        (argv,), digest = GOLDEN["simulate_csv"]
+        proc = self.child("-m", "spinport.cli", *argv)
         assert (proc.returncode, proc.stderr) == (0, b"")
-        assert hashlib.sha256(proc.stdout).hexdigest() == self.CSV_DIGEST
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
 class TestScanCommand:
@@ -576,15 +475,6 @@ class TestScanCommand:
         assert float(by_key[("y", "ry_pi")]["fidelity_post"]) == pytest.approx(0.0, abs=1e-12)
         assert float(by_key[("z", "sigma_z")]["fidelity_post"]) == pytest.approx(1.0, abs=1e-12)
         assert all(float(row["probability"]) == pytest.approx(0.25, abs=1e-12) for row in rows)
-
-    @pytest.mark.parametrize(
-        "fmt, digest",
-        [("csv", "4b88d812c2e947193dc10779b3d41dae9df96af175a9aa2022fac2b2525266e5"), ("jsonl", "a6affba4865545c75e1946f77844fe581415e79a0e06682f0d01585b9c7d5b9d")],
-    )
-    def test_golden_digest(self, tmp_path, fmt, digest):
-        out = tmp_path / "scan"
-        assert cli.main(["scan", "--format", fmt, "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_manifest_holds_no_config(self, capsys):
         _, out = run(capsys, "scan")

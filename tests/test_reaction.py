@@ -162,6 +162,8 @@ class TestExperimentConfig:
             ("beam_direction", [1j, 0, 0], "beam_direction must be a 3-vector of real numbers, got [1j, 0, 0]"),
             ("beam_direction", np.array([1j, 0, 0]), "beam_direction must be a 3-vector of real numbers, got array("),
             ("beam_direction", "010", "beam_direction must be a 3-vector of real numbers, got '010'"),
+            ("beam_direction", (True, 0.0, 0.0), "beam_direction must be a 3-vector of real numbers, got (True, 0."),
+            ("beam_direction", (np.True_, 0.0, 0.0), "beam_direction must be a 3-vector of real numbers, got ("),
             ("analyzer_axes", 5, "analyzer_axes 5 is not a sequence of axes"),
             ("analyzer_axes", ([1j, 0, 0],), "analyzer axis must be a 3-vector of real numbers, got [1j, 0, 0]"),
             ("analyzer_axes", "xyz", "analyzer axis must be a 3-vector of real numbers, got 'x'"),

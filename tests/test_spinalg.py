@@ -275,9 +275,9 @@ class TestUnitVector:
     @pytest.mark.parametrize(
         "bad",
         [5, None, 1j, [1j, 0, 0], np.array([1j, 0.0, 0.0]), "100", ("1", "0", "0"), (True, False, False),
-         (None, 0.0, 0.0), ((1.0, 0.0), 0.0, 0.0)],
+         (None, 0.0, 0.0), ((1.0, 0.0), 0.0, 0.0), (True, 0.0, 0.0), (np.True_, 0.0, 0.0)],
         ids=["int", "None", "complex", "complex-component", "complex-array", "text", "text-components", "bools",
-             "None-component", "ragged"],
+             "None-component", "ragged", "bool-among-floats", "numpy-bool-among-floats"],
     )
     def test_what_is_not_a_vector_of_real_numbers_is_refused_by_name(self, bad):
         with pytest.raises(SpinAlgebraError, match="^axis must be a 3-vector of real numbers, got "):
@@ -291,6 +291,10 @@ class TestUnitVector:
     def test_non_unit(self):
         with pytest.raises(SpinAlgebraError, match="axis must be unit length"):
             unit_vector((1.0, 1.0, 0.0), "axis")
+
+    def test_an_integer_beyond_int64_is_measured_as_too_long(self):
+        with pytest.raises(SpinAlgebraError, match=r"^axis must be unit length, \|axis\| = 1.18"):
+            unit_vector((2**70, 0, 0), "axis")
 
     @pytest.mark.parametrize("bad", NON_FINITE)
     def test_non_finite_components(self, bad):
