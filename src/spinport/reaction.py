@@ -19,8 +19,9 @@ exactly that post-selection contamination. Contamination replaces the
 teleported spin state by the conventional one; it does not depolarize it.
 
 The Monte Carlo tabulates ``predict``'s channel model once per run as
-``p_up[channel, slot, axis]``; events index it with the uniforms of their own
-``teleport._philox`` block, bit-identical however the loop is chunked.
+``p_up[channel, slot, axis]``; events index it with uniforms made from the raw
+words of their own ``teleport._philox`` block, only from the words they read,
+bit-identical however the loop is chunked.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from .bellkit import BELL_ORDER, BellLabel
 from .spinalg import BlochVector, _integer, _norm, _real, unit_vector
-from .teleport import _philox, _seed, index_from_uniform
+from .teleport import _philox, _seed, _uniform, index_from_uniform
 
 __all__ = [
     "TargetSpec", "IDEAL_TARGET", "ExperimentConfig", "ModelPrediction",
@@ -47,7 +48,7 @@ __all__ = [
 #: conventional prediction vanishes (e.g. an x-polarized beam).
 ENHANCEMENT_FLOOR = 1e-6
 
-#: Events per Monte Carlo chunk. Its uniforms are 0.5 MiB and its other
+#: Events per Monte Carlo chunk. Its raw words are 0.5 MiB and its other
 #: temporaries smaller, so the working set stays in a 1 MiB L2 and the fresh
 #: process faults in few pages. The first simulate() of 5e5 events in a fresh
 #: process (2-core VM, numpy 2.4.6, medians of 9) took 11.1 / 10.0 / 9.9 /
@@ -311,60 +312,69 @@ def _event_columns(config: ExperimentConfig, chunk_size: int, *, accepted_only: 
 
     ``predict``'s channel model becomes one per-run table ``p_up[channel,
     slot, axis] = (1 + P.axis)/2``, P the conventional vector (channel 0) or
-    Bell branch ``slot`` (channel 1). Each event's uniforms, as
-    ``teleport._philox`` lays them out, draw its Bell slot, whose singlet
+    Bell branch ``slot`` (channel 1). Each chunk is drawn as the raw words of
+    ``teleport._philox``, four per event. Every event's slot word, made a
+    uniform by ``teleport._uniform``, draws its Bell slot, whose singlet
     passes the neutron-energy selection (1/4 on both channels). One rule then
     gives each row its channel (teleported below w), its analyzer axis
-    (round-robin by event id) and its spin along that axis (+1 below ``p_up``).
-    ``accepted_only`` applies the rule to the accepted rows alone and yields
-    ``accepted`` as ``True``; otherwise every row is yielded. One
-    ``teleport._philox`` generator draws the run block after block, so any
-    ``chunk_size`` yields bit-identical columns, redrawn, not stored.
+    (round-robin by event id) and its spin along that axis (+1 below ``p_up``),
+    converting only that row's channel and spin words. ``accepted_only``
+    gathers the accepted rows' words first, applies the rule to them alone and
+    yields ``accepted`` as ``True``; otherwise every row is yielded. One
+    bit generator draws the run block after block, so any ``chunk_size``
+    yields bit-identical columns, redrawn, not stored. The caller has checked
+    the seed and ``chunk_size``.
     """
-    if config.seed is None:
-        raise ValueError("simulate requires an explicit seed")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be positive")
-
     p_teleported, background, branches = _channel_model(config)
     axes = np.stack(config.analyzer_axes)
     blochs = np.stack([np.broadcast_to(background, branches.shape), branches])
     p_up = np.clip(0.5 * (1.0 + np.einsum("csj,aj->csa", blochs, axes)), 0.0, 1.0)
 
-    # One uniforms buffer for the run: a fresh block per chunk, freed whole
-    # before the next draw, went back to the OS and was faulted in again.
-    block = np.empty((min(chunk_size, config.events), 4))
     stream = _philox(config.seed)
     for start in range(0, config.events, chunk_size):
         stop = min(start + chunk_size, config.events)
-        uniforms = stream.random(out=block[: stop - start])
-        slot = index_from_uniform(uniforms[:, 1], _BELL_WEIGHTS)
+        # A fresh block of words per chunk holds the memory bound because it is freed before the next one is drawn
+        # and each column made from it is a quarter of its size: simulate peaks at ~1.6 blocks, event_records ~2.35.
+        words = stream.random_raw(4 * (stop - start)).reshape(-1, 4)
+        slot = index_from_uniform(_uniform(words[:, 1]), _BELL_WEIGHTS)
         if accepted_only:
             event_id = np.flatnonzero(slot == _SINGLET_INDEX)
-            uniforms, slot = uniforms[event_id], _SINGLET_INDEX
+            words, slot = words.take(event_id, axis=0), _SINGLET_INDEX
             event_id += start
         else:
             event_id = np.arange(start, stop)
         accepted = slot == _SINGLET_INDEX
         axis_index = event_id % len(axes)
-        teleported = uniforms[:, 0] < p_teleported
-        spin = np.where(uniforms[:, 2] < p_up[teleported.astype(np.intp), slot, axis_index], 1, -1)
+        teleported = _uniform(words[:, 0]) < p_teleported
+        spin_uniform = _uniform(words[:, 2])
         # Hold no chunk while the next one is drawn: the caller frees what it was given. Without any one del here
-        # or in _record_chunks, test_each_chunk_is_released_before_the_next_is_drawn peaks at 2.6-2.9 > 2.5 blocks.
-        del uniforms, event_id, teleported, slot
+        # or in _record_chunks, test_each_chunk_is_released_before_the_next_is_drawn peaks above its bound.
+        del words, event_id
+        spin = np.where(spin_uniform < p_up[teleported.astype(np.intp), slot, axis_index], 1, -1)
+        del spin_uniform, teleported, slot
         yield start, accepted, axis_index, spin
         del accepted, axis_index, spin
+
+
+def _checked(config: ExperimentConfig, chunk_size) -> int:
+    """``chunk_size`` as an int, once the run is known to be drawable: a seed, and at least one event per chunk."""
+    if config.seed is None:
+        raise ValueError("simulate requires an explicit seed")
+    if (chunk_size := _integer(chunk_size, "chunk_size")) < 1:
+        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
+    return chunk_size
 
 
 def simulate(config: ExperimentConfig, *, chunk_size: int = _DEFAULT_CHUNK) -> list[PolarimetryEstimate]:
     """Per-axis polarization estimates from the accepted events' n+ and n-.
 
-    Only the accepted events are sampled (``teleport._philox`` says which
-    uniforms that reads); counts are summed chunk by chunk, no event is kept.
+    Every event's slot word is drawn and read; the channel and spin words are
+    gathered and read only for the accepted events (``teleport._philox`` lays
+    the words out). Counts are summed chunk by chunk, no event is kept.
     """
     n_axes = len(config.analyzer_axes)
     counts = np.zeros(2 * n_axes, dtype=np.int64)  # n+ of each axis, then n-
-    for _, _, axis_index, spin in _event_columns(config, chunk_size, accepted_only=True):
+    for _, _, axis_index, spin in _event_columns(config, _checked(config, chunk_size), accepted_only=True):
         counts += np.bincount(axis_index + n_axes * (spin < 0), minlength=2 * n_axes)
         del axis_index, spin
     n_plus, n_minus = counts.reshape(2, n_axes).tolist()
@@ -382,8 +392,9 @@ def _record_chunks(config: ExperimentConfig, chunk_size: int) -> Iterator[Iterat
 
 
 def event_records(config: ExperimentConfig, *, chunk_size: int = _DEFAULT_CHUNK) -> Iterator[EventRecord]:
-    """The events ``simulate`` counts, drawn again, as ``EventRecord``s built chunk by chunk."""
-    return chain.from_iterable(_record_chunks(config, chunk_size))
+    """The events ``simulate`` counts, drawn again, as ``EventRecord``s built chunk by chunk; the seed and
+    ``chunk_size`` are checked when it is called, not when the first record is drawn."""
+    return chain.from_iterable(_record_chunks(config, _checked(config, chunk_size)))
 
 
 def acceptance_fraction(records: Iterable[EventRecord]) -> float:

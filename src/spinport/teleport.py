@@ -178,19 +178,23 @@ def index_from_uniform(u, probabilities) -> np.ndarray | int:
     ``probabilities`` are taken in the given order; each variate selects the
     first index whose cumulative probability exceeds it, capped at the last
     index, which a NaN variate also selects. An ``ndarray`` of variates gives
-    an ``intp`` array, each entry the number of cumulative thresholds before
-    the last that the variate does not fall below; any other variate is a
-    scalar and gives an ``int`` by bisection in pure Python. Both paths add the
-    probabilities in sequence, as ``np.cumsum`` does, so their thresholds are
-    the same bits, and both consume exactly one variate per draw.
+    an ``intp`` array: the number of cumulative thresholds before the last,
+    less how many of them the variate falls below (a NaN falls below none),
+    that count kept in the narrowest unsigned dtype that holds it and cast to
+    ``intp`` once. Any other variate is a scalar and gives an ``int`` by
+    bisection in pure Python. Both paths add the probabilities in sequence, as
+    ``np.cumsum`` does, so their thresholds are the same bits, and both consume
+    exactly one variate per draw.
     """
     if not isinstance(u, np.ndarray):
         cum = list(accumulate(map(float, probabilities)))
         return min(bisect_right(cum, u), len(cum) - 1)
-    idx = np.zeros(u.shape, dtype=np.intp)
-    for threshold in np.cumsum(np.asarray(probabilities, dtype=float))[:-1]:
-        idx += ~(u < threshold)
-    return idx
+    thresholds = np.cumsum(np.asarray(probabilities, dtype=float))[:-1]
+    below = np.zeros(u.shape, dtype=np.min_scalar_type(len(thresholds)))
+    for threshold in thresholds:
+        below += u < threshold
+    idx = below.astype(np.intp)
+    return np.subtract(len(thresholds), idx, out=idx)
 
 
 def _seed(value) -> int:
@@ -200,25 +204,34 @@ def _seed(value) -> int:
     return seed
 
 
-def _philox(seed: int) -> np.random.Generator:
-    """The seeded stream: event ``i`` of the Monte Carlo owns the four uniforms in the block after counter
-    ``i``: channel, Bell slot, spin, unused. Every event reads its slot uniform; ``reaction.event_records``
-    reads all three, and ``reaction.simulate`` reads the channel and spin uniforms only of accepted events.
-    Four uniforms use up one block, so drawing events in order from one generator keeps each event on its
-    own block. ``run_sampled`` takes the first uniform of event 0's block, computed by
-    ``_philox_first_uniform``."""
-    return np.random.Generator(np.random.Philox(key=seed))
+def _philox(seed: int) -> np.random.Philox:
+    """The seeded stream, numpy's Philox4x64-10 bit generator keyed by ``seed``: four 64-bit words per counter block.
+    Event ``i`` of the Monte Carlo owns the words of the block after counter ``i``: channel, Bell slot, spin, unused.
+    Every event reads its slot word; ``reaction.event_records`` reads all three, and ``reaction.simulate`` reads the
+    channel and spin words only of accepted events, each made a uniform by ``_uniform``. So ``random_raw(4 * n)``
+    draws the next ``n`` events, each on its own block. ``run_sampled`` takes the first uniform of event 0's block,
+    computed by ``_philox_first_uniform``."""
+    return np.random.Philox(key=seed)
+
+
+def _uniform(word):
+    """numpy's ``random()`` rule: the top 53 bits of a 64-bit word (an int or a ``uint64`` array) times 2**-53, a
+    double in [0, 1). An array is cast to float64 before it is scaled in place, so no cast buffer sits beside it."""
+    top = word >> 11
+    uniform = top.astype(np.float64) if isinstance(top, np.ndarray) else float(top)
+    uniform *= 2.0**-53
+    return uniform
 
 
 _MASK64 = (1 << 64) - 1
 
 
 def _philox_first_uniform(seed: int) -> float:
-    """``_philox(seed).random()``, bit for bit, without building a Generator.
+    """``_uniform(_philox(seed).random_raw())``, bit for bit, without building a bit generator.
 
     Philox4x64-10 of counter block 1 (numpy increments the counter before its
     first block) under the 128-bit key ``seed``, low word first; the first
-    output word ``x`` becomes ``(x >> 11) * 2**-53``, as numpy's ``random()``.
+    output word becomes its uniform by ``_uniform``.
     """
     k0, k1 = seed & _MASK64, seed >> 64
     c0, c1, c2, c3 = 1, 0, 0, 0
@@ -228,7 +241,7 @@ def _philox_first_uniform(seed: int) -> float:
         c0, c1, c2, c3 = (p1 >> 64) ^ c1 ^ k0, p1 & _MASK64, (p0 >> 64) ^ c3 ^ k1, p0 & _MASK64
         k0 = (k0 + 0x9E3779B97F4A7C15) & _MASK64
         k1 = (k1 + 0xBB67AE8584CAA73B) & _MASK64
-    return (c0 >> 11) * 2.0**-53
+    return _uniform(c0)
 
 
 def _result(beam: np.ndarray, outcome: BellLabel, probability: float, neutron_pre: Ket,

@@ -1,8 +1,12 @@
 """Shared random-state generators and oracles for the test suite."""
 
+import dataclasses
+import json
+
 import numpy as np
 
 from spinport.bellkit import BELL_ORDER, BellLabel
+from spinport.reaction import EventRecord
 from spinport.spinalg import Ket
 from spinport.teleport import BeamState
 
@@ -57,3 +61,14 @@ def oracle_decomposition(amplitudes: np.ndarray) -> dict:
 def searchsorted_index(u, probabilities):
     """The first-written CDF inversion, kept as the oracle of ``teleport.index_from_uniform``."""
     return np.minimum(np.searchsorted(np.cumsum(probabilities), u, side="right"), len(probabilities) - 1)
+
+
+_EVENT_FIELDS = tuple(field.name for field in dataclasses.fields(EventRecord))
+
+
+def event_line(record: EventRecord) -> str:
+    """The JSON line of one event, written independently of ``cli``: its fields by name, in field order.
+
+    The names are read once; ``dataclasses.asdict`` would look them up and deep-copy each value per record.
+    """
+    return json.dumps({"type": "event", **{name: getattr(record, name) for name in _EVENT_FIELDS}}) + "\n"

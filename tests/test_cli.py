@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from golden import GOLDEN
+from helpers import event_line
 from spinport import cli, reaction
 from spinport.reaction import ExperimentConfig
 from spinport.spinalg import BlochVector
@@ -288,8 +289,7 @@ class TestSimulateCommand:
         argv = ["simulate", "--seed", "11", "--events", events, f"--axes={axes}", "--epsilon", "0.2"]
         assert cli.main(argv + ["--format", "jsonl", "--out", str(out)]) == 0
         config = cli.resolve_config({}, {"seed": "11", "events": events, "analyzer_axes": axes, "epsilon": "0.2"})
-        expected = [json.dumps({"type": "event", **dataclasses.asdict(r)}) + "\n"
-                    for r in reaction.event_records(config)]
+        expected = list(map(event_line, reaction.event_records(config)))
         lines = out.read_text().splitlines(keepends=True)
         assert [line for line in lines if line.startswith('{"type": "event"')] == expected
 

@@ -3,7 +3,6 @@
 import contextlib
 import dataclasses
 import io
-import json
 import math
 import tempfile
 from pathlib import Path
@@ -13,7 +12,7 @@ import pytest
 from hypothesis import Phase, example, given, reject, settings
 from hypothesis import strategies as st
 
-from helpers import searchsorted_index
+from helpers import event_line, searchsorted_index
 from spinport import cli, reaction
 from spinport.bellkit import BELL_ORDER, BellLabel, decompose_12, singlet_projector
 from spinport.reaction import (
@@ -31,7 +30,6 @@ from spinport.teleport import (
     RY_PI,
     SIGMA_Z,
     BeamState,
-    _philox,
     _philox_first_uniform,
     index_from_uniform,
     prepare_beam,
@@ -176,7 +174,7 @@ def test_json_lines_events_do_not_depend_on_the_event_batch(config, events, seed
                 patch.setattr(cli, "_EVENT_BATCH", size)
                 runs.append(run_cli(["simulate", "--config", str(path), "--format", "jsonl"]))
     assert runs[1] == runs[0] and runs[0][0] == 0
-    expected = [json.dumps({"type": "event", **dataclasses.asdict(r)}) + "\n" for r in event_records(config)]
+    expected = list(map(event_line, event_records(config)))
     assert [line for line in runs[0][1].splitlines(keepends=True) if line.startswith('{"type": "event"')] == expected
 
 
@@ -271,7 +269,7 @@ def test_config_and_run_sampled_accept_the_same_seeds(seed):
 @PROPERTY
 @given(st.integers(0, 2**128 - 1))
 def test_the_pure_python_first_draw_is_numpys(seed):
-    assert _philox_first_uniform(seed) == _philox(seed).random()
+    assert _philox_first_uniform(seed) == np.random.Generator(np.random.Philox(key=seed)).random()
 
 
 @st.composite

@@ -26,7 +26,7 @@ from spinport.reaction import (
     target_moments,
 )
 from spinport.spinalg import DimensionError, SpinAlgebraError, bloch_from, density_from, pauli, tensor
-from spinport.teleport import BeamState, _philox, prepare_beam, prepare_deuteron
+from spinport.teleport import BeamState, _philox, _uniform, prepare_beam, prepare_deuteron
 
 X, Y, Z = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)
 
@@ -404,6 +404,23 @@ class TestSimulate:
         with pytest.raises(ValueError, match="chunk_size"):
             simulate(config(), chunk_size=0)
 
+    @pytest.mark.parametrize("draw", [simulate, event_records])
+    @pytest.mark.parametrize("bad, shown", [
+        (2.5, "chunk_size 2.5 is not an integer"), ("4", "chunk_size '4' is not an integer"),
+        (None, "chunk_size None is not an integer"), (True, "chunk_size True is not an integer"),
+        (0, "chunk_size must be positive, got 0"), (-3.0, "chunk_size must be positive, got -3"),
+    ])
+    def test_a_chunk_size_that_is_not_a_positive_integer_is_refused_when_called(self, draw, bad, shown):
+        # Refused by the call itself: event_records must not wait for its first record.
+        with pytest.raises(ValueError, match=f"^{re.escape(shown)}$"):
+            draw(config(), chunk_size=bad)
+
+    def test_an_integral_float_chunk_size_draws_as_its_int(self):
+        c = config(events=2000, seed=5)
+        counted = [[(e.p_hat, e.sigma, e.n_events) for e in simulate(c, chunk_size=size)] for size in (977.0, 977)]
+        assert counted[0] == counted[1]
+        assert list(event_records(c, chunk_size=977.0)) == list(event_records(c, chunk_size=977))
+
     def test_undefined_estimate_when_an_axis_sees_no_events(self):
         # two axes but a single event: the second axis gets nothing
         c = config(events=1, seed=3, analyzer_axes=(X, Y))
@@ -460,19 +477,19 @@ class TestSimulate:
 
 
 class PerChunkPhilox:
-    """The draw of one fresh ``Philox(counter=start)`` generator per chunk, counting ``start`` in events."""
+    """The words of one fresh ``Philox(counter=start)`` bit generator per chunk, counting ``start`` in events."""
 
     def __init__(self, seed: int):
         self.seed, self.start = seed, 0
 
-    def random(self, out: np.ndarray) -> np.ndarray:
-        np.random.Generator(np.random.Philox(key=self.seed, counter=self.start)).random(out=out)
-        self.start += len(out)
-        return out
+    def random_raw(self, size: int) -> np.ndarray:
+        words = np.random.Philox(key=self.seed, counter=self.start).random_raw(size)
+        self.start += size // 4
+        return words
 
 
 class TestOneGeneratorDraw:
-    # One generator continues block by block; each chunk used to build its own
+    # One bit generator continues block by block; each chunk used to build its own
     # Philox at counter start. Both must give the same bits, on partial chunks too.
     CASES = [(1, 7), (977, 2 * 977 + 13), (16384, 16384 + 4099), (65536, 65536 + 1001)]
 
@@ -480,11 +497,17 @@ class TestOneGeneratorDraw:
     @pytest.mark.parametrize("chunk_size, events", CASES)
     def test_uniform_bits_equal_the_per_chunk_draws(self, chunk_size, events, seed):
         stream, per_chunk = _philox(seed), PerChunkPhilox(seed)
-        block, expected = np.empty((chunk_size, 4)), np.empty((chunk_size, 4))
         for start in range(0, events, chunk_size):
             n = min(chunk_size, events - start)
-            got = stream.random(out=block[:n]).view(np.uint64)
-            assert np.array_equal(got, per_chunk.random(out=expected[:n]).view(np.uint64)), start
+            assert np.array_equal(stream.random_raw(4 * n), per_chunk.random_raw(4 * n)), start
+
+    @pytest.mark.parametrize("seed", [0, 2**64 + 1, 2**128 - 1])
+    @pytest.mark.parametrize("events", [1, 7, 4099, 16384 + 977])
+    def test_the_words_made_uniforms_are_numpys_random_bit_for_bit(self, events, seed):
+        # The oracle of the word -> uniform rule: numpy's own Generator.random over the same Philox stream.
+        uniforms = _uniform(_philox(seed).random_raw(4 * events)).reshape(events, 4)
+        expected = np.random.Generator(np.random.Philox(key=seed)).random((events, 4))
+        assert np.array_equal(uniforms.view(np.uint64), expected.view(np.uint64))
 
     @pytest.mark.parametrize("accepted_only", [False, True])
     @pytest.mark.parametrize("seed", [0, 2**64 + 1, 2**128 - 1])

@@ -451,6 +451,7 @@ class TestIndexFromUniform:
         [0.5, 0.5, 0.0, 0.0],
         [0.0, 0.0, 1.0],
         [1.0],
+        [1 / 300] * 300,  # more thresholds than a uint8 count holds
     )
 
     @staticmethod
