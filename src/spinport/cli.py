@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__, reaction, teleport
 from .reaction import AXIS_VECTORS, ExperimentConfig, TargetSpec
-from .spinalg import InvariantError, SpinAlgebraError, bloch_from, density_from
+from .spinalg import InvariantError, bloch_from, density_from, unit_vector
 from .teleport import POLICIES, BeamState
 
 # at shutdown, not in main, so in-process callers of main stay unfrozen
@@ -52,26 +52,28 @@ def _exact(value: float) -> str:
     return repr(float(value))
 
 
-def _parse_axis_name(text: str) -> np.ndarray | None:
-    sign = 1.0
-    name = text.strip()
-    if name.startswith(("+", "-")):
-        sign = -1.0 if name[0] == "-" else 1.0
-        name = name[1:]
-    if name in AXIS_VECTORS:
-        return sign * np.array(AXIS_VECTORS[name])
-    return None
+#: Every axis name the command line reads after ``strip()``: each of ``reaction.AXIS_VECTORS`` bare, with "+" and
+#: with "-", as a read-only direction. "-" negates every component, so "-x" is (-1.0, -0.0, -0.0).
+_AXES = {sign_text + name: unit_vector(sign * np.array(vector), name) for name, vector in AXIS_VECTORS.items()
+         for sign_text, sign in (("", 1.0), ("+", 1.0), ("-", -1.0))}
+
+#: The canonical names, without "+": the labels ``beam_label`` gives and the beams ``scan`` runs, in table order.
+_AXIS_LABELS = tuple(name for name in _AXES if not name.startswith("+"))
+
+
+def _numbers(text: str, n: int, refusal: str) -> np.ndarray:
+    """Exactly ``n`` comma-separated numbers; ``refusal`` is the error for any other count."""
+    parts = text.split(",")
+    if len(parts) != n:
+        raise ValueError(refusal)
+    return np.array([float(p) for p in parts])
 
 
 def parse_beam_spec(text: str) -> np.ndarray:
     """Beam direction from an axis name (x|y|z, optional sign) or "theta,phi" degrees."""
-    vector = _parse_axis_name(text)
-    if vector is not None:
-        return vector
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"beam spec {text!r} is neither an axis name nor 'theta,phi' in degrees")
-    angles = [float(p) for p in parts]
+    if (axis := _AXES.get(text.strip())) is not None:
+        return axis.copy()
+    angles = _numbers(text, 2, f"beam spec {text!r} is neither an axis name nor 'theta,phi' in degrees")
     if not np.isfinite(angles).all():
         raise ValueError(f"beam_direction angles {text!r} must be finite degrees")
     theta, phi = np.radians(angles)
@@ -79,37 +81,28 @@ def parse_beam_spec(text: str) -> np.ndarray:
 
 
 def _parse_vector3(text: str, what: str) -> np.ndarray:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"{what} must be three comma-separated numbers, got {text!r}")
-    return np.array([float(p) for p in parts])
+    return _numbers(text, 3, f"{what} must be three comma-separated numbers, got {text!r}")
 
 
 def _parse_axis_or_vector(text: str, what: str) -> np.ndarray:
-    vector = _parse_axis_name(text)
-    if vector is not None:
-        return vector
-    return _parse_vector3(text, what)
+    axis = _AXES.get(text.strip())
+    return _parse_vector3(text, what) if axis is None else axis
 
 
 def _parse_axes_flag(text: str) -> tuple[np.ndarray, ...]:
     axes = []
     for token in text.split(","):
-        vector = _parse_axis_name(token)
-        if vector is None:
+        if (axis := _AXES.get(token.strip())) is None:
             raise ValueError(f"--axes takes axis names like x,y,z; got {token!r}")
-        axes.append(vector)
+        axes.append(axis)
     return tuple(axes)
 
 
 def beam_label(direction: np.ndarray) -> str:
     """Axis name when the direction is axis-aligned, else "theta,phi" in degrees."""
-    for name, axis in AXIS_VECTORS.items():
-        axis = np.array(axis)
-        if np.allclose(direction, axis, atol=1e-9):
+    for name in _AXIS_LABELS:
+        if np.allclose(direction, _AXES[name], atol=1e-9):
             return name
-        if np.allclose(direction, -axis, atol=1e-9):
-            return f"-{name}"
     theta = np.degrees(np.arctan2(np.hypot(direction[0], direction[1]), direction[2]))
     phi = np.degrees(np.arctan2(direction[1], direction[0]))
     return f"{_fmt(theta)},{_fmt(phi)}"
@@ -330,14 +323,11 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-_SCAN_BEAMS = ("x", "-x", "y", "-y", "z", "-z")
-
-
 def cmd_scan(args) -> int:
     header = ["beam_axis", "policy", "probability", "fidelity_pre", "fidelity_post"]
     rows = []
-    for beam_name in _SCAN_BEAMS:
-        state = BeamState.from_direction(parse_beam_spec(beam_name))
+    for beam_name in _AXIS_LABELS:
+        state = BeamState.from_direction(_AXES[beam_name])
         for policy in POLICIES.values():
             result = teleport.run_postselected(state, policy)
             rows.append([beam_name, policy.name, result.probability,
@@ -390,7 +380,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InvariantError as exc:
         print(f"spinport: numerical invariant violated: {exc}", file=sys.stderr)
         return 2
-    except (SpinAlgebraError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"spinport: error: {exc}", file=sys.stderr)
         return 1
 

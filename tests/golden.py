@@ -58,6 +58,8 @@ _PREDICT = (
 _SIMULATE = ("simulate", "--seed", "7", "--events")
 _SEVERAL_CHUNKS = ("--axes", "x,z", "--epsilon", "0.3")
 _SEED_11 = ("simulate", "--seed", "11", "--epsilon", "0.2", *_JSONL, "--events")
+_SIGNED_AXES = (*_SIMULATE, "5000")
+_SIGNED_AXES_CFG = str(Path(__file__).resolve().parent / "signed_axes.cfg")  # analyzer_axes = +x; -y ;0,0,1
 
 # JSON lines write repr floats, so a change in the last bit shows there even where the 12-digit CSV hides it.
 GOLDEN = {
@@ -104,6 +106,10 @@ GOLDEN = {
                               "c7654fe6ad8b583d0e9b0bb3cf214f2732d28c6771b18370710563701178c393"),
     "simulate_1e6_csv": Row(((*_SIMULATE, "1000000"),),
                             "e9c65ce89c85a9224189b8fb20cf7bac69a7def6041d93006d75f83d963568c6"),
+    # the signed axis names: "+" names, a "-" name, and the same axes as a flag and as config-file text
+    "signed_axes_csv": Row((("predict", "--beam=+z"), (*_SIGNED_AXES, "--axes=+x,-y,z"),
+                            (*_SIGNED_AXES, "--config", _SIGNED_AXES_CFG)),
+                           "ee913a45dd0ca6243e91542d76322c8dec7868582bd71e85234fbd420a510e46"),
     # every axis beam and policy of the exact protocol
     "scan_csv": Row((("scan", *_CSV),), "4b88d812c2e947193dc10779b3d41dae9df96af175a9aa2022fac2b2525266e5"),
     "scan_jsonl": Row((("scan", *_JSONL),), "a6affba4865545c75e1946f77844fe581415e79a0e06682f0d01585b9c7d5b9d"),

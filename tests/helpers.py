@@ -72,3 +72,61 @@ def event_line(record: EventRecord) -> str:
     The names are read once; ``dataclasses.asdict`` would look them up and deep-copy each value per record.
     """
     return json.dumps({"type": "event", **{name: getattr(record, name) for name in _EVENT_FIELDS}}) + "\n"
+
+
+_MASK64 = 2**64 - 1
+
+
+def philox4x64_10(counter: int, key: int) -> tuple[int, int, int, int]:
+    """Philox4x64-10 of one 256-bit counter block under a 128-bit key, words low first, in pure Python.
+
+    Written from the round function of Salmon et al., "Parallel random numbers: as easy as 1, 2, 3" (SC'11):
+    each of ten rounds takes the 128-bit products M0 * c0 and M1 * c2 and sets the block to
+    (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2), hi(M0 c0) ^ c3 ^ k1, lo(M0 c0)); the key words are bumped by the Weyl
+    constants W0, W1 before each later round.
+    """
+    c0, c1, c2, c3 = ((counter >> shift) & _MASK64 for shift in (0, 64, 128, 192))
+    k0, k1 = key & _MASK64, (key >> 64) & _MASK64
+    for _ in range(10):
+        product0, product2 = 0xD2E7470EE14C6C93 * c0, 0xCA5A826395121157 * c2
+        c0, c1, c2, c3 = ((product2 >> 64) ^ c1 ^ k0, product2 & _MASK64,
+                          (product0 >> 64) ^ c3 ^ k1, product0 & _MASK64)
+        k0, k1 = (k0 + 0x9E3779B97F4A7C15) & _MASK64, (k1 + 0xBB67AE8584CAA73B) & _MASK64
+    return c0, c1, c2, c3
+
+
+# The neutron's Bloch-vector signs in each Bell outcome of the pair, the channel pair in psi+:
+# psi+ keeps the beam's spin, psi- flips x and y, phi+ flips y and z, phi- flips x and z.
+_BRANCH_SIGNS = {
+    BellLabel.PSI_PLUS: (1.0, 1.0, 1.0),
+    BellLabel.PSI_MINUS: (-1.0, -1.0, 1.0),
+    BellLabel.PHI_PLUS: (1.0, -1.0, -1.0),
+    BellLabel.PHI_MINUS: (-1.0, 1.0, -1.0),
+}
+
+
+def oracle_events(config) -> list[tuple[int, bool, int, int]]:
+    """Every event of ``config``'s Monte Carlo as ``(event_id, accepted, axis_index, spin_outcome)``, one at a time.
+
+    Event ``i`` reads Philox4x64-10 block ``i + 1`` under the key ``config.seed`` (numpy increments its counter
+    before each block): channel, slot and spin words, each made a uniform by numpy's ``random()`` rule,
+    ``(word >> 11) * 2**-53``. Every Bell outcome has weight 1/4, so the slot uniform ``u`` picks outcome
+    ``floor(4 u)`` of ``BELL_ORDER``, and the event is accepted when that is psi-. ``predict``'s model gives the
+    neutron's Bloch vector: below w = p_zero * (1 - epsilon) the channel uniform selects the teleported channel,
+    where the neutron carries the beam's vector P with the outcome's signs; otherwise it carries the conventional
+    (0, k * P_y, 0). The axis is ``i`` modulo the number of axes, and the spin is +1 when the spin uniform is
+    below p_up = (1 + P . axis) / 2, clipped to [0, 1].
+    """
+    beam = [config.beam_magnitude * float(c) for c in config.beam_direction]
+    w = config.target.p_zero * (1.0 - config.epsilon)
+    conventional = (0.0, config.k_transfer * beam[1], 0.0)
+    axes = [[float(c) for c in axis] for axis in config.analyzer_axes]
+    events = []
+    for i in range(config.events):
+        channel, slot, spin, _ = (float(word >> 11) * 2.0**-53 for word in philox4x64_10(i + 1, config.seed))
+        label = BELL_ORDER[int(4.0 * slot)]
+        bloch = [sign * b for sign, b in zip(_BRANCH_SIGNS[label], beam)] if channel < w else conventional
+        axis = axes[i % len(axes)]
+        p_up = min(max(0.5 * (1.0 + (bloch[0] * axis[0] + bloch[1] * axis[1] + bloch[2] * axis[2])), 0.0), 1.0)
+        events.append((i, label is BellLabel.PSI_MINUS, i % len(axes), 1 if spin < p_up else -1))
+    return events

@@ -139,6 +139,30 @@ class TestBeamParsing:
         for name in ("x", "-x", "y", "-y", "z", "-z"):
             assert cli.beam_label(cli.parse_beam_spec(name)) == name
 
+    @pytest.mark.parametrize("padding", ["", " \t"])
+    @pytest.mark.parametrize("name", ["x", "+x", "-x", "y", "+y", "-y", "z", "+z", "-z"])
+    def test_every_axis_name_parses_labels_and_leaves_the_table_unchanged(self, name, padding):
+        sign = -1.0 if name.startswith("-") else 1.0
+        expected = (sign * np.array(reaction.AXIS_VECTORS[name.lstrip("+-")])).tobytes()
+        text = padding + name + padding
+        direction = cli.parse_beam_spec(text)
+        assert direction.tobytes() == expected
+        assert cli.beam_label(direction) == name.lstrip("+")
+        values = {"beam_direction": text, "analyzer_axes": text}
+        for config in (cli.resolve_config(values, {}), cli.resolve_config({}, values)):  # file, then flag grammar
+            assert config.beam_direction.tobytes() == config.analyzer_axes[0].tobytes() == expected
+        direction[:] = 0.5
+        assert cli.parse_beam_spec(text).tobytes() == expected
+
+    @pytest.mark.parametrize("text", ["+-x", "--x", "x+", "xy", ""])
+    def test_a_malformed_axis_name_is_refused_naming_its_text(self, capsys, text):
+        with pytest.raises(ValueError) as excinfo:
+            cli.parse_beam_spec(text)
+        assert str(excinfo.value) == f"beam spec {text!r} is neither an axis name nor 'theta,phi' in degrees"
+        assert cli.main(["simulate", "--seed", "1", f"--axes={text}"]) == 1
+        assert capsys.readouterr().err == (f"spinport: error: config key analyzer_axes = {text!r}: "
+                                           f"--axes takes axis names like x,y,z; got {text!r}\n")
+
     def test_a_beam_near_the_pole_keeps_its_polar_angle(self, capsys):
         assert cli.beam_label(cli.parse_beam_spec("0.000001,30")) == "1e-06,30"
         code, out = run(capsys, "predict", "--beam", "0.000001,30")

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import Phase, example, given, reject, settings
 from hypothesis import strategies as st
 
-from helpers import event_line, searchsorted_index
+from helpers import event_line, oracle_events, philox4x64_10, searchsorted_index
 from spinport import cli, reaction
 from spinport.bellkit import BELL_ORDER, BellLabel, decompose_12, singlet_projector
 from spinport.reaction import (
@@ -270,6 +270,22 @@ def test_config_and_run_sampled_accept_the_same_seeds(seed):
 @given(st.integers(0, 2**128 - 1))
 def test_the_pure_python_first_draw_is_numpys(seed):
     assert _philox_first_uniform(seed) == np.random.Generator(np.random.Philox(key=seed)).random()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 2**64, 2**128 - 1])
+@pytest.mark.parametrize("counter", [0, 2**64 - 2, 2**64 - 1, 2**128 - 1, 2**256 - 2])
+def test_the_pure_python_philox_is_numpys(seed, counter):
+    # numpy increments the 256-bit counter before each block, wrapping at 2**256
+    blocks = [philox4x64_10((counter + step) % 2**256, seed) for step in (1, 2)]
+    assert np.random.Philox(key=seed, counter=counter).random_raw(8).tolist() == [*blocks[0], *blocks[1]]
+
+
+@settings(PROPERTY, max_examples=70)
+@given(config=configs, events=st.integers(1, 500), seed=st.integers(0, 2**128 - 1), chunk_size=st.integers(1, 5000))
+def test_event_records_are_the_scalar_oracles_events(config, events, seed, chunk_size):
+    config = dataclasses.replace(config, events=events, seed=seed)
+    records = event_records(config, chunk_size=chunk_size)
+    assert [(r.event_id, r.accepted, r.axis_index, r.spin_outcome) for r in records] == oracle_events(config)
 
 
 @st.composite
