@@ -242,8 +242,8 @@ def _emit(args, manifest: list[tuple[str, str]], header: list[str], rows: list[l
 
 def _load_config(args) -> ExperimentConfig:
     file_values: dict[str, str] = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as handle:
+    if args.config is not None:  # an empty --config= is refused as a missing file, not read as no file
+        with open(args.config, encoding="utf-8-sig") as handle:  # a byte-order mark is read as UTF-8's, not as text
             try:
                 file_values = parse_config_text(handle.read())
             except UnicodeDecodeError as exc:

@@ -307,12 +307,22 @@ class PolarimetryEstimate:
         return cls(axis=axis, p_hat=p_hat, sigma=float(np.sqrt((1.0 - p_hat**2) / n)), n_events=n)
 
 
+def _spin_table(config: ExperimentConfig) -> tuple[float, np.ndarray]:
+    """Channel weight w and ``p_up[channel, slot, axis] = (1 + P.axis)/2`` clipped to [0, 1], P the conventional
+    vector (channel 0) or Bell branch ``slot`` (channel 1); P.axis is summed left to right, ``(P_x a_x + P_y a_y)
+    + P_z a_z``, so no bit of the table rests on the order in which a numpy reduction adds."""
+    p_teleported, background, branches = _channel_model(config)
+    axes = np.stack(config.analyzer_axes)
+    blochs = np.stack([np.broadcast_to(background, branches.shape), branches])[..., None, :]
+    dot = blochs[..., 0] * axes[:, 0] + blochs[..., 1] * axes[:, 1] + blochs[..., 2] * axes[:, 2]
+    return p_teleported, np.clip(0.5 * (1.0 + dot), 0.0, 1.0)
+
+
 def _event_columns(config: ExperimentConfig, chunk_size: int, *, accepted_only: bool = False) -> Iterator[tuple]:
     """Sample the event stream; yield ``(first_id, accepted, axis_index, spin)`` per chunk.
 
-    ``predict``'s channel model becomes one per-run table ``p_up[channel,
-    slot, axis] = (1 + P.axis)/2``, P the conventional vector (channel 0) or
-    Bell branch ``slot`` (channel 1). Each chunk is drawn as the raw words of
+    ``predict``'s channel model becomes one per-run table, ``_spin_table``'s
+    ``p_up[channel, slot, axis]``. Each chunk is drawn as the raw words of
     ``teleport._philox``, four per event. Every event's slot word, made a
     uniform by ``teleport._uniform``, draws its Bell slot, whose singlet
     passes the neutron-energy selection (1/4 on both channels). One rule then
@@ -325,11 +335,8 @@ def _event_columns(config: ExperimentConfig, chunk_size: int, *, accepted_only: 
     yields bit-identical columns, redrawn, not stored. The caller has checked
     the seed and ``chunk_size``.
     """
-    p_teleported, background, branches = _channel_model(config)
-    axes = np.stack(config.analyzer_axes)
-    blochs = np.stack([np.broadcast_to(background, branches.shape), branches])
-    p_up = np.clip(0.5 * (1.0 + np.einsum("csj,aj->csa", blochs, axes)), 0.0, 1.0)
-
+    p_teleported, p_up = _spin_table(config)
+    n_axes = len(config.analyzer_axes)
     stream = _philox(config.seed)
     for start in range(0, config.events, chunk_size):
         stop = min(start + chunk_size, config.events)
@@ -344,7 +351,7 @@ def _event_columns(config: ExperimentConfig, chunk_size: int, *, accepted_only: 
         else:
             event_id = np.arange(start, stop)
         accepted = slot == _SINGLET_INDEX
-        axis_index = event_id % len(axes)
+        axis_index = event_id % n_axes
         teleported = _uniform(words[:, 0]) < p_teleported
         spin_uniform = _uniform(words[:, 2])
         # Hold no chunk while the next one is drawn: the caller frees what it was given. Without any one del here

@@ -105,6 +105,17 @@ _BRANCH_SIGNS = {
 }
 
 
+def oracle_spin_table(config) -> list[list[list[float]]]:
+    """``p_up[channel][slot][axis]`` = (1 + P . axis) / 2 clipped to [0, 1], P . axis summed left to right: P is the
+    conventional (0, k * P_y, 0) in channel 0, the beam's vector with outcome ``BELL_ORDER[slot]``'s signs in 1."""
+    beam = [config.beam_magnitude * float(c) for c in config.beam_direction]
+    conventional = [0.0, config.k_transfer * beam[1], 0.0]
+    blochs = ([conventional] * 4, [[sign * b for sign, b in zip(_BRANCH_SIGNS[label], beam)] for label in BELL_ORDER])
+    axes = [[float(c) for c in axis] for axis in config.analyzer_axes]
+    return [[[min(max(0.5 * (1.0 + (p[0] * a[0] + p[1] * a[1] + p[2] * a[2])), 0.0), 1.0) for a in axes] for p in row]
+            for row in blochs]
+
+
 def oracle_events(config) -> list[tuple[int, bool, int, int]]:
     """Every event of ``config``'s Monte Carlo as ``(event_id, accepted, axis_index, spin_outcome)``, one at a time.
 
@@ -114,19 +125,15 @@ def oracle_events(config) -> list[tuple[int, bool, int, int]]:
     ``floor(4 u)`` of ``BELL_ORDER``, and the event is accepted when that is psi-. ``predict``'s model gives the
     neutron's Bloch vector: below w = p_zero * (1 - epsilon) the channel uniform selects the teleported channel,
     where the neutron carries the beam's vector P with the outcome's signs; otherwise it carries the conventional
-    (0, k * P_y, 0). The axis is ``i`` modulo the number of axes, and the spin is +1 when the spin uniform is
-    below p_up = (1 + P . axis) / 2, clipped to [0, 1].
+    (0, k * P_y, 0). The axis is ``i`` modulo the number of axes, and the spin is +1 below ``p_up`` of that channel,
+    outcome and axis in ``oracle_spin_table``.
     """
-    beam = [config.beam_magnitude * float(c) for c in config.beam_direction]
+    p_up = oracle_spin_table(config)
     w = config.target.p_zero * (1.0 - config.epsilon)
-    conventional = (0.0, config.k_transfer * beam[1], 0.0)
-    axes = [[float(c) for c in axis] for axis in config.analyzer_axes]
     events = []
     for i in range(config.events):
         channel, slot, spin, _ = (float(word >> 11) * 2.0**-53 for word in philox4x64_10(i + 1, config.seed))
-        label = BELL_ORDER[int(4.0 * slot)]
-        bloch = [sign * b for sign, b in zip(_BRANCH_SIGNS[label], beam)] if channel < w else conventional
-        axis = axes[i % len(axes)]
-        p_up = min(max(0.5 * (1.0 + (bloch[0] * axis[0] + bloch[1] * axis[1] + bloch[2] * axis[2])), 0.0), 1.0)
-        events.append((i, label is BellLabel.PSI_MINUS, i % len(axes), 1 if spin < p_up else -1))
+        slot, axis_index = int(4.0 * slot), i % len(config.analyzer_axes)
+        spin_outcome = 1 if spin < p_up[channel < w][slot][axis_index] else -1
+        events.append((i, BELL_ORDER[slot] is BellLabel.PSI_MINUS, axis_index, spin_outcome))
     return events

@@ -155,13 +155,10 @@ class TestBeamParsing:
         assert cli.parse_beam_spec(text).tobytes() == expected
 
     @pytest.mark.parametrize("text", ["+-x", "--x", "x+", "xy", ""])
-    def test_a_malformed_axis_name_is_refused_naming_its_text(self, capsys, text):
+    def test_a_malformed_axis_name_is_refused_naming_its_text(self, text):
         with pytest.raises(ValueError) as excinfo:
             cli.parse_beam_spec(text)
         assert str(excinfo.value) == f"beam spec {text!r} is neither an axis name nor 'theta,phi' in degrees"
-        assert cli.main(["simulate", "--seed", "1", f"--axes={text}"]) == 1
-        assert capsys.readouterr().err == (f"spinport: error: config key analyzer_axes = {text!r}: "
-                                           f"--axes takes axis names like x,y,z; got {text!r}\n")
 
     def test_a_beam_near_the_pole_keeps_its_polar_angle(self, capsys):
         assert cli.beam_label(cli.parse_beam_spec("0.000001,30")) == "1e-06,30"
@@ -185,9 +182,6 @@ class TestTeleportCommand:
         assert code == 0
         assert float(csv_rows(out)[0]["fidelity_pre"]) == pytest.approx(1.0, abs=1e-12)
 
-    def test_invalid_beam_exits_1(self, capsys):
-        assert cli.main(["teleport", "--beam", "q"]) == 1
-
     def test_manifest_header(self, capsys):
         _, out = run(capsys, "teleport", "--beam", "y")
         manifest = manifest_of(out)
@@ -205,27 +199,6 @@ class TestPredictCommand:
         assert rows["conventional"]["neutron_py"] == "-0.1"
         assert float(rows["qt"]["enhancement"]) == pytest.approx(9.64, abs=1e-10)
         assert rows["qt"]["beam_axis"] == "y"
-
-    def test_bad_config_value_exits_1(self, capsys, tmp_path):
-        path = tmp_path / "bad.cfg"
-        path.write_text("epsilon = 1.5\n")
-        assert cli.main(["predict", "--config", str(path)]) == 1
-
-    def test_unknown_config_key_exits_1(self, capsys, tmp_path):
-        path = tmp_path / "bad.cfg"
-        path.write_text("gamma = 1\n")
-        assert cli.main(["predict", "--config", str(path)]) == 1
-
-    def test_repeated_config_key_exits_1(self, capsys, tmp_path):
-        path = tmp_path / "repeated.cfg"
-        path.write_text("epsilon = 0.2\n# a later edit\nepsilon = 0.3\n")
-        assert cli.main(["predict", "--config", str(path)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "config key 'epsilon' repeated on lines 1 and 3" in captured.err
-
-    def test_missing_config_file_exits_1(self, capsys, tmp_path):
-        assert cli.main(["predict", "--config", str(tmp_path / "absent.cfg")]) == 1
 
     def test_flags_override_file(self, capsys, tmp_path):
         path = tmp_path / "run.cfg"
@@ -269,41 +242,7 @@ class TestPredictCommand:
         assert lines[1]["neutron_py"] == -0.964
 
 
-class TestNonFiniteInputs:
-    @pytest.mark.parametrize(
-        "argv, key",
-        [
-            (["predict", "--beam", "nan,0"], "beam_direction"),
-            (["predict", "--beam", "0,inf"], "beam_direction"),
-            (["predict", "--magnitude", "nan"], "beam_magnitude"),
-            (["predict", "--epsilon", "inf"], "epsilon"),
-            (["simulate", "--kyy", "nan", "--seed", "1"], "k_transfer"),
-            (["simulate", "--seed", "-1", "--events", "10"], "seed"),
-            (["simulate", "--seed", str(2**128), "--events", "10"], "seed"),
-        ],
-    )
-    def test_exit_1_naming_the_key(self, capsys, argv, key):
-        assert cli.main(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert key in captured.err
-
-    def test_non_finite_config_file_value_exits_1(self, capsys, tmp_path):
-        path = tmp_path / "bad.cfg"
-        path.write_text("beam_energy_mev = nan\n")
-        assert cli.main(["predict", "--config", str(path)]) == 1
-        assert "beam_energy_mev" in capsys.readouterr().err
-
-
 class TestSimulateCommand:
-    def test_missing_seed_exits_1(self, capsys, tmp_path):
-        assert cli.main(["simulate", "--events", "100"]) == 1
-        assert "seed" in capsys.readouterr().err
-        out = tmp_path / "run"
-        assert cli.main(["simulate", "--events", "100", "--out", str(out)]) == 1
-        assert "seed" in capsys.readouterr().err
-        assert not out.exists()
-
     @pytest.mark.parametrize("axes, events", [("y", "16387"), ("x,-y,z,-x", "73731")])
     def test_event_lines_are_the_records_as_json(self, tmp_path, axes, events):
         # The runs of the golden rows simulate_one_axis_jsonl and simulate_four_axes_jsonl: both cross
@@ -569,69 +508,14 @@ class TestConfigSchema:
         assert code == 0
         assert manifest_of(out)[key] == shown
 
-    @pytest.mark.parametrize(
-        "key, text",
-        [("events", "1e5"), ("epsilon", "abc"), ("beam_direction", "1,2"), ("analyzer_axes", "x;q")],
-    )
-    def test_config_file_value_errors_name_the_key(self, capsys, tmp_path, key, text):
-        path = tmp_path / "bad.cfg"
-        path.write_text(f"{key} = {text}\n")
-        assert cli.main(["predict", "--config", str(path)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"config key {key} = {text!r}: " in captured.err
-
-    def test_an_undecodable_config_file_is_named(self, capsys, tmp_path):
-        path = tmp_path / "binary.cfg"
-        path.write_bytes(b"\xff\xfe")
-        assert cli.main(["predict", "--config", str(path)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("spinport")
-        assert str(path) in lines[0]
-
-    @pytest.mark.parametrize(
-        "text, shown",
-        [
-            ("garbage\n", "config line 1 is not 'key = value': 'garbage'"),
-            ("bogus = 1\n", "unknown config key 'bogus' on line 1"),
-            ("epsilon = 0.2\nepsilon = 0.3\n", "config key 'epsilon' repeated on lines 1 and 2"),
-        ],
-    )
-    def test_a_malformed_config_file_is_named_with_the_line(self, capsys, tmp_path, text, shown):
-        path = tmp_path / "malformed.cfg"
-        path.write_text(text)
-        assert cli.main(["predict", "--config", str(path)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"spinport: error: config file {str(path)!r}: {shown}\n"
-
-    @pytest.mark.parametrize(
-        "text, shown",
-        [
-            ("epsilon = 1.5\n", "config key epsilon = '1.5': epsilon 1.5 outside [0, 1]"),
-            ("beam_magnitude = nan\n", "config key beam_magnitude = 'nan': beam_magnitude nan outside [0, 1]"),
-            ("events = 300\nk_transfer = -2\n", "config key k_transfer = '-2': k_transfer -2.0 outside [-1, 1]"),
-        ],
-    )
-    def test_a_config_file_value_out_of_range_is_named_with_the_file(self, capsys, tmp_path, text, shown):
-        path = tmp_path / "range.cfg"
-        path.write_text(text)
-        assert cli.main(["predict", "--config", str(path)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"spinport: error: config file {str(path)!r}: {shown}\n"
-
-    def test_a_flag_value_out_of_range_names_no_file(self, capsys, tmp_path):
-        # the flag overrides the file's epsilon, so the refusal is the flag's, with the bare message
-        path = tmp_path / "overridden.cfg"
-        path.write_text("epsilon = 2\nbeam_magnitude = 0.5\n")
-        for argv in (["predict", "--epsilon", "1.5"], ["predict", "--config", str(path), "--epsilon", "1.5"]):
-            assert cli.main(argv) == 1
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err == "spinport: error: epsilon 1.5 outside [0, 1]\n"
+    def test_a_byte_order_mark_gives_the_output_of_the_same_file_without_it(self, tmp_path):
+        text = b"epsilon = 0.2\nbeam_direction = y\nanalyzer_axes = x;-y\nseed = 5\nevents = 300\n"
+        path, out, outputs = tmp_path / "run.cfg", tmp_path / "out", []
+        for mark in (b"", b"\xef\xbb\xbf"):
+            path.write_bytes(mark + text)
+            assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[1] == outputs[0]
 
     def test_a_flag_overrides_an_out_of_range_file_value(self, capsys, tmp_path):
         path = tmp_path / "range.cfg"
@@ -650,43 +534,14 @@ class TestConfigSchema:
         ],
     )
     def test_a_flag_overrides_a_malformed_file_value(self, capsys, tmp_path, key, text, flag, shown):
-        # the keys and texts of test_config_file_value_errors_name_the_key: a file value that a flag
-        # replaces is never parsed, just as one out of range is never checked
+        # the keys and texts of the refusals file_events_not_an_int to file_axes_unknown_name in golden.py: a file
+        # value that a flag replaces is never parsed, just as one out of range is never checked
         path = tmp_path / "bad.cfg"
         path.write_text(f"{key} = {text}\n")
         assert cli.main(["simulate", "--config", str(path), "--seed", "1", flag]) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
         assert manifest_of(captured.out)[key] == shown
-
-    @pytest.mark.parametrize("flag, key", [("--events=1e5", "events"), ("--magnitude=abc", "beam_magnitude")])
-    def test_flag_value_errors_name_the_key(self, capsys, flag, key):
-        assert cli.main(["simulate", "--seed", "1", flag]) == 1
-        assert f"config key {key} = " in capsys.readouterr().err
-
-    def test_of_a_file_and_a_flag_refusal_the_first_key_in_field_order_is_named(self, capsys, tmp_path):
-        # beam_magnitude precedes epsilon in ExperimentConfig, so the flag's refusal is named, with the bare message
-        path = tmp_path / "range.cfg"
-        path.write_text("epsilon = 1.5\n")
-        assert cli.main(["predict", "--config", str(path), "--magnitude", "2"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "spinport: error: beam_magnitude 2.0 outside [0, 1]\n"
-
-    def test_of_two_file_refusals_the_first_key_in_field_order_is_named(self, capsys, tmp_path):
-        # the file's order does not matter: epsilon's line comes first, beam_magnitude is checked first
-        path = tmp_path / "range.cfg"
-        path.write_text("epsilon = 1.5\nbeam_magnitude = 2\n")
-        assert cli.main(["predict", "--config", str(path)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (f"spinport: error: config file {str(path)!r}: "
-                                "config key beam_magnitude = '2': beam_magnitude 2.0 outside [0, 1]\n")
-
-    def test_an_unknown_axis_name_is_named(self, capsys):
-        assert cli.main(["simulate", "--seed", "1", "--axes", "x,q"]) == 1
-        err = capsys.readouterr().err
-        assert "analyzer_axes" in err and "'q'" in err
 
 
 class TestUsageErrors:
