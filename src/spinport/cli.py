@@ -234,7 +234,7 @@ def _emit(args, manifest: list[tuple[str, str]], header: list[str], rows: list[l
             json.dumps({"type": row_type, **{key: _json_value(value) for key, value in zip(header, row)}})
             for row in rows
         )
-    with open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout) as handle:
+    with open(args.out, "w", newline="") if args.out is not None else contextlib.nullcontext(sys.stdout) as handle:
         handle.writelines(line + "\n" for line in lines)
         handle.writelines(tail_text)
         handle.flush()  # a closed reader fails here, inside main's try, not in the flush at exit

@@ -201,6 +201,10 @@ REFUSALS = {
         "spinport: error: [Errno 2] No such file or directory: 'absent.cfg'\n"),
     "config_empty_path": Refusal(("predict", "--config="), {},
         "spinport: error: [Errno 2] No such file or directory: ''\n"),
+    # an empty --out names no file, as an empty --config does, and writes nothing to stdout either
+    "out_empty_path": Refusal(("predict", "--out="), {}, "spinport: error: [Errno 2] No such file or directory: ''\n"),
+    "out_empty_path_simulate": Refusal(("simulate", "--seed", "7", "--out="), {},
+        "spinport: error: [Errno 2] No such file or directory: ''\n"),
     "config_not_utf8": Refusal(*_config("binary.cfg", b"\xff\xfe"),
         "spinport: error: config file 'binary.cfg' is not UTF-8 text: "
         "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"),

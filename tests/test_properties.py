@@ -18,6 +18,7 @@ from spinport import cli, reaction
 from spinport.bellkit import BELL_ORDER, BellLabel, decompose_12, singlet_projector
 from spinport.reaction import (
     ENHANCEMENT_FLOOR,
+    EventRecord,
     ExperimentConfig,
     PolarimetryEstimate,
     TargetSpec,
@@ -164,7 +165,7 @@ def test_a_corrupt_config_value_exits_1_naming_its_key(key, source, config, even
        batch=st.sampled_from([1, 7, 4096]) | st.integers(1, 1100))
 def test_json_lines_events_do_not_depend_on_the_event_batch(config, events, seed, batch):
     # simulate draws, formats and writes its JSON-lines events cli._EVENT_BATCH at a time; the bytes must not
-    # show where one chunk ends, and each event line is its record through json.dumps.
+    # show where one chunk ends, and each event line is the scalar oracle's event through json.dumps.
     config = dataclasses.replace(config, events=events, seed=seed)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.cfg"
@@ -175,7 +176,7 @@ def test_json_lines_events_do_not_depend_on_the_event_batch(config, events, seed
                 patch.setattr(cli, "_EVENT_BATCH", size)
                 runs.append(run_cli(["simulate", "--config", str(path), "--format", "jsonl"]))
     assert runs[1] == runs[0] and runs[0][0] == 0
-    expected = list(map(event_line, event_records(config)))
+    expected = [event_line(EventRecord(*event)) for event in oracle_events(config)]
     assert [line for line in runs[0][1].splitlines(keepends=True) if line.startswith('{"type": "event"')] == expected
 
 
@@ -183,6 +184,9 @@ SCALAR_BOUNDS = {"beam_magnitude": (0.0, 1.0), "epsilon": (0.0, 1.0), "k_transfe
 
 
 @PROPERTY
+# both vectors at full length, on the sphere: a y beam, the pure channel and |k| = 1
+@example(direction=(0.0, 1.0, 0.0), target=TargetSpec(0.0, 1.0, 0.0), wild_key=None, wild_value=0.0,
+         scalars={"beam_magnitude": 1.0, "epsilon": 0.0, "k_transfer": -1.0})
 @given(
     direction=unit_vectors(),
     target=targets(),
@@ -221,15 +225,15 @@ def test_simulate_and_event_records_do_not_depend_on_the_chunk_size(config, even
 
 
 @PROPERTY
-@given(configs, st.integers(1, 400), st.integers(0, 2**128 - 1), st.integers(1, 150), st.integers(1, 150))
-def test_simulate_counts_the_accepted_event_records(config, events, seed, simulate_chunk, records_chunk):
-    # simulate samples only the accepted events; event_records samples every
-    # event, and its accepted records must tally to the same n+ and n-.
+@given(configs, st.integers(1, 400), st.integers(0, 2**128 - 1), st.integers(1, 150))
+def test_simulate_counts_the_accepted_event_records(config, events, seed, simulate_chunk):
+    # simulate samples only the accepted events; the scalar oracle's accepted
+    # events must tally to the same n+ and n-.
     config = dataclasses.replace(config, events=events, seed=seed)
     counts = np.zeros((len(config.analyzer_axes), 2), dtype=int)
-    for record in event_records(config, chunk_size=records_chunk):
-        if record.accepted:
-            counts[record.axis_index, int(record.spin_outcome < 0)] += 1
+    for _, accepted, axis_index, spin_outcome in oracle_events(config):
+        if accepted:
+            counts[axis_index, int(spin_outcome < 0)] += 1
     tallied = [PolarimetryEstimate.from_counts(axis, *n) for axis, n in zip(config.analyzer_axes, counts.tolist())]
     assert list(map(_estimate_bits, simulate(config, chunk_size=simulate_chunk))) == list(map(_estimate_bits, tallied))
 
@@ -317,6 +321,32 @@ def test_simulated_estimates_scatter_about_the_teleported_polarization_by_their_
     assert abs(np.mean(np.abs(z) < 1.0) - 0.6827) < 3.0 * math.sqrt(0.6827 * 0.3173 / len(z))
 
 
+def test_the_enhancement_from_three_orthogonal_axes_matches_predict():
+    # The paper's enhancement in sampled data: |p_hat| of the x, y and z estimates over predict's
+    # max(|conventional|, ENHANCEMENT_FLOOR) lies within 5 sigma of predict's enhancement, sigma propagated from the
+    # estimates' own, sqrt(sum((p_i sigma_i)**2)) / |p_hat| / denominator. Only configs whose conventional and
+    # teleported vectors are not near 0: there the ratio is not the floor's, and the bias of |p_hat|, about
+    # sum(sigma_i**2) / (2 |p|), stays under 0.13 of its sigma. At these seeds 321 configs are skipped, and the 100
+    # run give mean z -0.0003, sd 0.99, max |z| 3.13 and 69% within 1.
+    rng, z = np.random.default_rng(16), []
+    while len(z) < 100:
+        config = ExperimentConfig(
+            beam_direction=random_unit_vector(rng), beam_magnitude=rng.uniform(), epsilon=rng.uniform(),
+            k_transfer=rng.uniform(-1.0, 1.0), target=TargetSpec(*rng.dirichlet(np.ones(3))), events=40_000,
+            seed=len(z), analyzer_axes=tuple(np.eye(3)),
+        )
+        prediction = predict(config)
+        if prediction.conventional_bloch.norm() < 0.05 or prediction.qt_bloch.norm() < 0.2:
+            continue
+        estimates = simulate(config)
+        p_hat = np.array([estimate.p_hat for estimate in estimates])
+        sigma = np.array([estimate.sigma for estimate in estimates])
+        denominator = max(prediction.conventional_bloch.norm(), ENHANCEMENT_FLOOR)
+        error = math.sqrt(np.sum((p_hat * sigma) ** 2)) / np.linalg.norm(p_hat) / denominator
+        z.append((np.linalg.norm(p_hat) / denominator - prediction.enhancement) / error)
+    assert max(map(abs, z)) < 5.0, z
+
+
 @st.composite
 def norm_inputs(draw):
     """A complex 2-, 4- or 8-vector or a real 3-vector, scaled by 1e-300 to 1e300, with 0, NaN and +-inf entries."""
@@ -396,14 +426,14 @@ def test_every_bell_outcome_has_probability_one_quarter(beam, other, weight):
 def test_the_singlet_conditional_carries_the_teleported_image(beam):
     p = beam.bloch()
     image = bloch_from(density_from(run_postselected(beam, NO_CORRECTION).neutron_pre))
-    assert np.allclose(image.as_array(), [-p.px, -p.py, p.pz], atol=ATOL_COMPOSED, rtol=0)
+    assert np.allclose(image.as_array(), [-p.px, -p.py, p.pz], atol=ATOL_ALGEBRA, rtol=0)
 
 
 @PROPERTY
 @given(beams)
 def test_sigma_z_is_exact_and_ry_pi_keeps_only_the_x_component(beam):
     # sigma_z undoes the sign flip of every input; ry_pi gives fidelity nx^2, so it works for x-axis inputs only.
-    assert abs(run_postselected(beam, SIGMA_Z).fidelity_post - 1.0) <= ATOL_COMPOSED
+    assert abs(run_postselected(beam, SIGMA_Z).fidelity_post - 1.0) <= ATOL_ALGEBRA
     assert abs(run_postselected(beam, RY_PI).fidelity_post - beam.bloch().px ** 2) <= ATOL_COMPOSED
 
 
@@ -417,6 +447,7 @@ def test_the_decomposition_reconstructs_its_input(psi):
 @example(ExperimentConfig(beam_direction=(1.0, 0.0, 0.0)))  # no y component: the conventional vector vanishes
 @example(ExperimentConfig(k_transfer=0.0))
 @example(ExperimentConfig(beam_magnitude=0.0))  # nothing to teleport either
+@example(ExperimentConfig(epsilon=0.0))  # the pure channel: w = 1, the flip map (-Px, -Py, Pz) alone
 @given(
     st.builds(
         ExperimentConfig,

@@ -1,9 +1,6 @@
 """Tests for the experiment-level model: predictions and Monte Carlo sampling."""
 
-import copy
 import dataclasses
-import inspect
-import pickle
 import re
 import tracemalloc
 
@@ -14,7 +11,6 @@ from helpers import random_unit_vector
 from spinport import reaction
 from spinport.bellkit import BELL_ORDER, BellLabel, bell_states, decompose_12
 from spinport.reaction import (
-    EventRecord,
     ExperimentConfig,
     PolarimetryEstimate,
     TargetSpec,
@@ -224,30 +220,6 @@ class TestPredict:
         assert prediction.conventional_bloch.norm() == 0.0
         assert prediction.enhancement == 0.0
 
-    def test_pure_channel_reproduces_the_flip_map(self):
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            direction = random_unit_vector(rng)
-            prediction = predict(config(beam_direction=direction, epsilon=0.0))
-            expected = np.array([-direction[0], -direction[1], direction[2]])
-            assert np.allclose(prediction.qt_bloch.as_array(), expected, atol=1e-12)
-
-    def test_predictions_stay_inside_the_ball(self):
-        rng = np.random.default_rng(3)
-        for _ in range(1000):
-            prediction = predict(
-                config(
-                    beam_direction=random_unit_vector(rng),
-                    beam_magnitude=rng.uniform(0, 1),
-                    epsilon=rng.uniform(0, 1),
-                    k_transfer=rng.uniform(-1, 1),
-                    target=TargetSpec(*rng.dirichlet((1, 1, 1))),
-                )
-            )
-            # BlochVector construction enforces the ball; re-check the norms
-            assert prediction.qt_bloch.norm() <= 1.0 + 1e-10
-            assert prediction.conventional_bloch.norm() <= 1.0 + 1e-10
-
     def test_enhancement_non_increasing_in_contamination_off_y(self):
         diag_xz = (1 / np.sqrt(2), 0.0, 1 / np.sqrt(2))
         for direction in (X, diag_xz):
@@ -301,26 +273,6 @@ class TestSimulate:
         four_sigma = 4.0 * np.sqrt((1.0 - 0.25) / estimate.n_events)
         assert abs(estimate.p_hat - 0.5) <= four_sigma
 
-    def test_fixed_seed_is_bit_reproducible(self):
-        c = config(events=5000, seed=77)
-        records_a, estimates_a = list(event_records(c)), simulate(c)
-        records_b, estimates_b = list(event_records(c)), simulate(c)
-        assert records_a == records_b
-        for a, b in zip(estimates_a, estimates_b):
-            assert (a.p_hat, a.sigma, a.n_events) == (b.p_hat, b.sigma, b.n_events)
-
-    def test_partitioning_does_not_change_results(self):
-        # every event owns one counter block, so chunking is invisible;
-        # chunk_size=1 is the fully split schedule
-        c = config(events=2000, seed=42)
-        baseline = list(event_records(c)), simulate(c)
-        for chunk_size in (1, 7, 333, 100_000):
-            records = list(event_records(c, chunk_size=chunk_size))
-            estimates = simulate(c, chunk_size=chunk_size)
-            assert records == baseline[0]
-            for a, b in zip(estimates, baseline[1]):
-                assert (a.p_hat, a.sigma, a.n_events) == (b.p_hat, b.sigma, b.n_events)
-
     def test_the_default_chunk_gives_the_results_of_65536_event_chunks(self):
         # The partition the default replaced stays pinned: 81925 events end
         # inside a chunk of either size.
@@ -328,28 +280,6 @@ class TestSimulate:
         assert [(e.p_hat, e.sigma, e.n_events) for e in simulate(c)] == [
             (e.p_hat, e.sigma, e.n_events) for e in simulate(c, chunk_size=65536)]
         assert list(event_records(c)) == list(event_records(c, chunk_size=65536))
-
-    @pytest.mark.parametrize("chunk_size", [1, 977, reaction._DEFAULT_CHUNK])
-    def test_event_records_agree_with_estimates(self, chunk_size):
-        # simulate counts the stream and event_records draws it again: the
-        # per-axis n+/n- of the accepted records are the estimates' counts
-        c = config(events=3000, seed=31, analyzer_axes=(X, Y, Z))
-        counts = np.zeros((3, 2), dtype=int)
-        accepted = 0
-        for r in event_records(c, chunk_size=chunk_size):
-            if r.accepted:
-                counts[r.axis_index, int(r.spin_outcome < 0)] += 1
-                accepted += 1
-        estimates = simulate(c, chunk_size=chunk_size)
-        for (n_plus, n_minus), estimate in zip(counts, estimates):
-            n = n_plus + n_minus
-            assert (estimate.n_events, estimate.p_hat) == (n, (n_plus - n_minus) / n)
-        assert sum(estimate.n_events for estimate in estimates) == accepted
-
-    def test_round_robin_axis_assignment(self):
-        c = config(events=9, seed=1, analyzer_axes=(X, Y, Z))
-        records = list(event_records(c))
-        assert [r.axis_index for r in records] == [0, 1, 2] * 3
 
     def test_estimates_match_analytic_prediction(self):
         rng = np.random.default_rng(314)
@@ -599,91 +529,6 @@ class TestAcceptance:
         finally:
             tracemalloc.stop()
         assert peak < 2**20, f"tracemalloc peak {peak / 2**20:.2f} MiB"
-
-    def test_event_record_validation(self):
-        with pytest.raises(ValueError):
-            EventRecord(0, True, 0, 0)
-
-
-class TestEventRecord:
-    """The value-object contract of ``EventRecord``, whatever builds its instances."""
-
-    FIELDS = ("event_id", "accepted", "axis_index", "spin_outcome")
-
-    def test_positional_and_keyword_construction(self):
-        record = EventRecord(3, True, 1, -1)
-        assert tuple(getattr(record, name) for name in self.FIELDS) == (3, True, 1, -1)
-        assert EventRecord(event_id=3, accepted=True, axis_index=1, spin_outcome=-1) == record
-        assert EventRecord(3, True, spin_outcome=-1, axis_index=1) == record
-
-    @pytest.mark.parametrize(
-        "args, kwargs",
-        [
-            ((3, True, 1), {}),
-            ((3, True, 1, -1, 0), {}),
-            ((3, True, 1, -1), {"charge": 0}),
-            ((3, True, 1), {"spin": -1}),
-            ((3, True, 1, -1), {"event_id": 3}),
-        ],
-    )
-    def test_a_missing_extra_or_unknown_argument_is_a_type_error(self, args, kwargs):
-        with pytest.raises(TypeError):
-            EventRecord(*args, **kwargs)
-
-    def test_the_signature_lists_the_fields_in_order(self):
-        parameters = list(inspect.signature(EventRecord).parameters)
-        assert parameters == [field.name for field in dataclasses.fields(EventRecord)] == list(self.FIELDS)
-
-    def test_equality_hash_and_repr(self):
-        record, twin = EventRecord(3, True, 1, -1), EventRecord(3, True, 1, -1)
-        assert record == twin and record is not twin and hash(record) == hash(twin)
-        assert record != EventRecord(3, True, 1, 1) and record != (3, True, 1, -1)
-        assert len({record, twin, EventRecord(4, False, 0, 1)}) == 2
-        assert repr(record) == "EventRecord(event_id=3, accepted=True, axis_index=1, spin_outcome=-1)"
-
-    def test_match_args(self):
-        assert EventRecord.__match_args__ == self.FIELDS
-        match EventRecord(3, True, 1, -1):
-            case EventRecord(event_id, accepted, axis_index, spin_outcome):
-                assert (event_id, accepted, axis_index, spin_outcome) == (3, True, 1, -1)
-            case _:
-                pytest.fail("EventRecord did not match its own positional pattern")
-
-    @pytest.mark.parametrize(
-        "round_trip",
-        [lambda record: pickle.loads(pickle.dumps(record)), copy.copy, copy.deepcopy],
-        ids=["pickle", "copy", "deepcopy"],
-    )
-    def test_round_trips(self, round_trip):
-        record = EventRecord(3, True, 1, -1)
-        again = round_trip(record)
-        assert again == record and type(again) is EventRecord
-        assert repr(again) == repr(record)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            again.spin_outcome = 1
-
-    def test_replace_validates(self):
-        record = EventRecord(3, True, 1, -1)
-        assert dataclasses.replace(record, spin_outcome=1) == EventRecord(3, True, 1, 1)
-        assert dataclasses.replace(record, event_id=4, accepted=False) == EventRecord(4, False, 1, -1)
-        with pytest.raises(ValueError, match="spin outcome must be"):
-            dataclasses.replace(record, spin_outcome=0)
-
-    def test_fields_can_be_neither_set_nor_deleted(self):
-        record = EventRecord(3, True, 1, -1)
-        for name in self.FIELDS:
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(record, name, 0)
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                delattr(record, name)
-        assert record == EventRecord(3, True, 1, -1)
-
-    @pytest.mark.parametrize("spin", [0, 2, -2])
-    def test_a_spin_other_than_plus_or_minus_one_is_refused(self, spin):
-        with pytest.raises(ValueError, match=f"spin outcome must be \\+1 or -1, got {spin}"):
-            EventRecord(3, True, 1, spin)
-        with pytest.raises(ValueError):
-            EventRecord(event_id=3, accepted=True, axis_index=1, spin_outcome=spin)
 
 
 def born_weights_from_density_matrix(beam_bloch: np.ndarray) -> np.ndarray:

@@ -1,11 +1,11 @@
 """The value-object contract of the frozen dataclasses built through a hand-written ``__init__``.
 
-``TeleportResult``, ``BellBranch`` and ``BlochVector`` store their fields
-without the ``object.__setattr__`` calls of a generated frozen ``__init__``.
-Everything else must stay what ``@dataclass(frozen=True)`` makes: the
-signature, ``==``, ``hash``, ``repr``, ``__match_args__``, pickling and
-copying, validation under ``dataclasses.replace``, and frozen fields.
-``EventRecord``, built the same way, has its own tests in ``test_reaction.py``.
+``TeleportResult``, ``BellBranch``, ``BlochVector`` and ``EventRecord`` store
+their fields without the ``object.__setattr__`` calls of a generated frozen
+``__init__``. Everything else must stay what ``@dataclass(frozen=True)``
+makes: the signature, ``==``, ``hash``, ``repr``, ``__match_args__``,
+pickling and copying, validation at construction and under
+``dataclasses.replace``, and frozen fields.
 """
 
 import copy
@@ -18,6 +18,7 @@ from typing import Callable, NamedTuple
 import pytest
 
 from spinport.bellkit import BellBranch, BellLabel
+from spinport.reaction import EventRecord
 from spinport.spinalg import BlochVector, InvariantError, Ket, SpinAlgebraError
 from spinport.teleport import TeleportResult
 
@@ -40,6 +41,12 @@ def unpack_vector(instance):
     match instance:
         case BlochVector(px, py, pz):
             return px, py, pz
+
+
+def unpack_record(instance):
+    match instance:
+        case EventRecord(event_id, accepted, axis_index, spin_outcome):
+            return event_id, accepted, axis_index, spin_outcome
 
 
 class Case(NamedTuple):
@@ -89,6 +96,14 @@ CASES = [
         # integers are stored as floats, as the generated __init__ and __post_init__ stored them
         ({"px": 0, "py": 0, "pz": 1},
          lambda vector: [(type(c), c) for c in (vector.px, vector.py, vector.pz)] == [(float, 0.0), (float, 0.0), (float, 1.0)]),
+    ),
+    Case(
+        EventRecord,
+        (3, True, 1, -1),
+        (3, True, 1, 1),
+        unpack_record,
+        tuple(("spin_outcome", spin, ValueError, f"spin outcome must be +1 or -1, got {spin}") for spin in (0, 2, -2)),
+        ({"event_id": 4, "accepted": False}, lambda record: record == EventRecord(4, False, 1, -1)),
     ),
 ]
 
@@ -170,6 +185,8 @@ class TestHandWrittenInit:
         for field, value, error, message in case.refused:
             with pytest.raises(error, match=re.escape(message)):
                 dataclasses.replace(instance, **{field: value})
+            with pytest.raises(error, match=re.escape(message)):
+                case.cls(**{**dict(zip(field_names(case.cls), case.args)), field: value})
         changes, check = case.accepted
         replaced = dataclasses.replace(instance, **changes)
         assert type(replaced) is case.cls and check(replaced)
