@@ -205,6 +205,12 @@ REFUSALS = {
     "out_empty_path": Refusal(("predict", "--out="), {}, "spinport: error: [Errno 2] No such file or directory: ''\n"),
     "out_empty_path_simulate": Refusal(("simulate", "--seed", "7", "--out="), {},
         "spinport: error: [Errno 2] No such file or directory: ''\n"),
+    "out_empty_path_teleport": Refusal(("teleport", "--beam", "x", "--out="), {},
+        "spinport: error: [Errno 2] No such file or directory: ''\n"),
+    "out_empty_path_scan": Refusal(("scan", "--out="), {}, "spinport: error: [Errno 2] No such file or directory: ''\n"),
+    # an --out in a directory that does not exist is refused by its path, and creates no directory
+    "out_missing_directory": Refusal(("simulate", "--seed", "7", "--events", "10", "--out", "absent/run.csv"), {},
+        "spinport: error: [Errno 2] No such file or directory: 'absent/run.csv'\n"),
     "config_not_utf8": Refusal(*_config("binary.cfg", b"\xff\xfe"),
         "spinport: error: config file 'binary.cfg' is not UTF-8 text: "
         "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"),

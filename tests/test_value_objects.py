@@ -71,6 +71,7 @@ CASES = [
             ("probability", 1.5, SpinAlgebraError, "outcome probability 1.5 outside [0, 1]"),
             ("probability", float("nan"), SpinAlgebraError, "outcome probability nan outside [0, 1]"),
             ("fidelity_pre", -1e-9, SpinAlgebraError, "fidelity -1e-09 outside [0, 1]"),
+            ("fidelity_pre", float("nan"), SpinAlgebraError, "fidelity nan outside [0, 1]"),
             ("fidelity_post", 1.5, SpinAlgebraError, "fidelity 1.5 outside [0, 1]"),
         ),
         ({"neutron_post": None, "fidelity_post": None}, lambda result: result.fidelity_post is None),
@@ -182,11 +183,6 @@ class TestHandWrittenInit:
 
     def test_replace_validates(self, case):
         instance = case.cls(*case.args)
-        for field, value, error, message in case.refused:
-            with pytest.raises(error, match=re.escape(message)):
-                dataclasses.replace(instance, **{field: value})
-            with pytest.raises(error, match=re.escape(message)):
-                case.cls(**{**dict(zip(field_names(case.cls), case.args)), field: value})
         changes, check = case.accepted
         replaced = dataclasses.replace(instance, **changes)
         assert type(replaced) is case.cls and check(replaced)
@@ -212,3 +208,14 @@ class TestHandWrittenInit:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 delattr(instance, name)
         assert instance == case.cls(*case.args)
+
+
+@pytest.mark.parametrize(
+    "case, field, value, error, message",
+    [pytest.param(case, *row, id=f"{case.cls.__name__}-{row[0]}={row[1]}") for case in CASES for row in case.refused],
+)
+def test_a_refused_value_raises_at_construction_and_under_replace(case, field, value, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        case.cls(**{**dict(zip(field_names(case.cls), case.args)), field: value})
+    with pytest.raises(error, match=re.escape(message)):
+        dataclasses.replace(case.cls(*case.args), **{field: value})
