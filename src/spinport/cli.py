@@ -6,7 +6,10 @@ lines) carrying the subcommand, tool version and the fully resolved
 parameters, so any run can be reproduced from its own output.
 
 Exit codes: 0 success, 1 invalid input or configuration, 2 a numerical
-invariant was violated at runtime, 141 the reader closed the output.
+invariant was violated at runtime, 141 the reader closed the output. A JSON-lines
+``simulate`` of two or more event chunks, where the process may run on two or
+more CPUs, forks one worker that formats every other chunk; a worker that ends
+early or exits nonzero is an error naming its status, exit 1.
 Importing this module makes the interpreter freeze its garbage collector at
 shutdown. The final collections then skip every object a run leaves behind,
 and cycles still alive at exit are not collected. The atexit handlers, the
@@ -21,6 +24,7 @@ import contextlib
 import gc
 import json
 import os
+import signal
 import sys
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -290,8 +294,14 @@ def cmd_predict(args) -> int:
 _EVENT_BATCH = 4096
 
 
-def _event_text(chunks: Iterable[Iterable[reaction.EventRecord]], n_axes: int) -> Iterator[str]:
-    """Each chunk's records as JSON lines, joined into one string per chunk.
+def _chunk_text(records: Iterable[reaction.EventRecord], tails: list) -> str:
+    """One chunk's records as JSON lines, joined into one string: each line is its event id and its tail."""
+    return "".join([f'{{"type": "event", "event_id": {r.event_id}{tails[r.accepted][r.axis_index][r.spin_outcome]}'
+                    for r in records])
+
+
+def _chunk_texts(config: ExperimentConfig, first: int, step: int) -> Iterator[str]:
+    """The text of chunks ``first``, ``first + step``, ...; every chunk is drawn, the others are never read.
 
     Each line is its event id followed by one of ``2 * n_axes * 2`` tails,
     built once and looked up as ``tails[accepted][axis_index][spin_outcome]``;
@@ -299,11 +309,93 @@ def _event_text(chunks: Iterable[Iterable[reaction.EventRecord]], n_axes: int) -
     """
     tails = [[[None] + [f', "accepted": {accepted}, "axis_index": {axis}, "spin_outcome": {spin}}}\n'
                         for spin in (1, -1)]
-              for axis in range(n_axes)]
+              for axis in range(len(config.analyzer_axes))]
              for accepted in ("false", "true")]
-    for records in chunks:
-        yield "".join([f'{{"type": "event", "event_id": {r.event_id}{tails[r.accepted][r.axis_index][r.spin_outcome]}'
-                       for r in records])
+    for index, records in enumerate(reaction._record_chunks(config, _EVENT_BATCH)):
+        if index % step == first:
+            yield _chunk_text(records, tails)
+
+
+class _Worker:
+    """A forked copy of this process that formats chunks 1, 3, 5, ... of the run's events and sends each chunk's
+    text through a pipe, after its length in 8 little-endian bytes; pipe backpressure keeps about one chunk in
+    flight. The worker runs only that loop and leaves through ``os._exit``, so no atexit handler runs, no
+    inherited buffer is flushed and nothing goes to stderr; once its reader is gone it ends at its next write."""
+
+    def __init__(self, pid: int, pipe) -> None:
+        self.pid, self.pipe = pid, pipe
+
+    @classmethod
+    def fork(cls, config: ExperimentConfig) -> "_Worker | None":
+        """The running worker; None where there is no ``os.fork`` or ``os.sched_getaffinity``, where this
+        process may run on fewer than two CPUs, or when ``os.fork`` raises ``OSError``."""
+        if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+            return None
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            return None
+        if pid == 0:
+            status = 1
+            try:
+                os.close(read_fd)
+                with open(write_fd, "wb") as pipe:
+                    for text in _chunk_texts(config, 1, 2):
+                        data = text.encode()
+                        pipe.write(len(data).to_bytes(8, "little"))
+                        pipe.write(data)
+                        pipe.flush()
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_fd)
+        return cls(pid, open(read_fd, "rb"))
+
+    def receive(self) -> str:
+        """The worker's next chunk; an ``OSError`` naming its status when it ended before sending it whole."""
+        header = self.pipe.read(8)
+        size = int.from_bytes(header, "little")
+        data = self.pipe.read(size) if len(header) == 8 else b""
+        if len(header) < 8 or len(data) < size:
+            raise OSError(f"the JSON-lines worker process ended early, with status {self.reap()}")
+        return data.decode()
+
+    def reap(self) -> int:
+        """Close the pipe and wait for the worker: its exit status, or minus the signal that ended it."""
+        self.pipe.close()
+        pid, self.pid = self.pid, None
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+    def kill(self) -> None:
+        """End and reap the worker, unless it is reaped already."""
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            self.reap()
+
+
+def _event_text(config: ExperimentConfig) -> Iterator[str]:
+    """Each ``_EVENT_BATCH``-event chunk of the run's events as one string of JSON lines, in order.
+
+    With two or more chunks, and where ``_Worker.fork`` can start one, a worker formats the odd chunks
+    while this process formats the even ones; otherwise this process formats every chunk in the same loop.
+    The worker is reaped however the generator ends: the normal end waits for it and raises ``OSError`` if
+    it exited nonzero, any other end kills it first.
+    """
+    chunks = -(-config.events // _EVENT_BATCH)
+    worker = _Worker.fork(config) if chunks > 1 else None
+    step = 1 if worker is None else 2
+    try:
+        own = _chunk_texts(config, 0, step)
+        for index in range(chunks):
+            yield next(own) if index % step == 0 else worker.receive()
+        if worker is not None and (status := worker.reap()) != 0:
+            raise OSError(f"the JSON-lines worker process ended with status {status}")
+    finally:
+        if worker is not None:
+            worker.kill()
 
 
 def cmd_simulate(args) -> int:
@@ -316,10 +408,10 @@ def cmd_simulate(args) -> int:
     ]
     # The estimates precede the events, so JSON lines draws the seeded stream a second
     # time, in _EVENT_BATCH-event chunks written one at a time, instead of holding every event.
-    event_text = () if args.format == "csv" else _event_text(
-        reaction._record_chunks(config, _EVENT_BATCH), len(config.analyzer_axes))
-    _emit(args, _manifest("simulate", config_items(config)), header, rows,
-          row_type="estimate", tail_text=event_text)
+    # Closing the generator on every way out of _emit reaps its worker; CSV never starts it.
+    with contextlib.closing(_event_text(config)) as event_text:
+        _emit(args, _manifest("simulate", config_items(config)), header, rows,
+              row_type="estimate", tail_text=() if args.format == "csv" else event_text)
     return 0
 
 

@@ -388,11 +388,17 @@ def simulate(config: ExperimentConfig, *, chunk_size: int = _DEFAULT_CHUNK) -> l
     return [PolarimetryEstimate.from_counts(*counted) for counted in zip(config.analyzer_axes, n_plus, n_minus)]
 
 
+def _records(first_id: int, accepted: np.ndarray, axis_index: np.ndarray, spin: np.ndarray) -> Iterator[EventRecord]:
+    """One chunk's ``EventRecord``s; the columns become lists only when the first record is read."""
+    yield from map(EventRecord, range(first_id, first_id + len(spin)),
+                   accepted.tolist(), axis_index.tolist(), spin.tolist())
+
+
 def _record_chunks(config: ExperimentConfig, chunk_size: int) -> Iterator[Iterator[EventRecord]]:
-    """The events ``simulate`` counts, drawn again: one lazy ``map`` to ``EventRecord``s per chunk."""
+    """The events ``simulate`` counts, drawn again: one lazy iterator of ``EventRecord``s per chunk. A chunk
+    that is skipped unread is drawn, but none of its records is built and none of its columns converted."""
     for first_id, accepted, axis_index, spin in _event_columns(config, chunk_size):
-        records = map(EventRecord, range(first_id, first_id + len(spin)),
-                      accepted.tolist(), axis_index.tolist(), spin.tolist())
+        records = _records(first_id, accepted, axis_index, spin)
         del accepted, axis_index, spin
         yield records
         del records

@@ -120,13 +120,16 @@ GOLDEN = {
                                     "385834a7491ebc20efbd925eac3e013a5caed9121d381022c2d380f666bf06cd"),
     "simulate_two_chunks_jsonl": Row(((*_SIMULATE, "8192", *_JSONL),),
                                      "f1202cd622fef0acf8c443cd06ecae94b4a958c6d21414700ae76460ec50f584"),
-    # the north star's simulate commands; 1e6 events as JSON lines take seconds in process and are left out
+    # the north star's simulate commands; 1e6 events as JSON lines are 245 chunks, the longest run of the worker
+    # that formats every other chunk
     "simulate_1e5_csv": Row(((*_SIMULATE, "100000"),),
                             "da7a73a98ac7cd0c8e9c4c397834c991134289224b2b6ef9b4721841428cddf4"),
     "simulate_1e5_jsonl": Row(((*_SIMULATE, "100000", *_JSONL),),
                               "c7654fe6ad8b583d0e9b0bb3cf214f2732d28c6771b18370710563701178c393"),
     "simulate_1e6_csv": Row(((*_SIMULATE, "1000000"),),
                             "e9c65ce89c85a9224189b8fb20cf7bac69a7def6041d93006d75f83d963568c6"),
+    "simulate_1e6_jsonl": Row(((*_SIMULATE, "1000000", *_JSONL),),
+                              "271989f16f2e84b5c2c3cb3bb3086741a3fb3343a040b666ce57f9db9678cc3d"),
     # the signed axis names: "+" names, a "-" name, and the same axes as a flag and as config-file text
     "signed_axes_csv": Row((("predict", "--beam=+z"), (*_SIGNED_AXES, "--axes=+x,-y,z"),
                             (*_SIGNED_AXES, "--config", _SIGNED_AXES_CFG)),

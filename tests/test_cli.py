@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from golden import GOLDEN
+from golden import GOLDEN, sha256_of
 from helpers import event_line
 from spinport import cli, reaction
 from spinport.reaction import ExperimentConfig
@@ -311,36 +311,133 @@ class TestSimulateCommand:
 
 class TestEventRecordValidation:
     # Tier-1's copy of the perfbench self-test pin on reaction.EventRecord: every JSON-lines event is one
-    # record validated once, so an EventRecord.__init__ that skips __post_init__ fails here as well.
+    # record validated once, so an EventRecord.__init__ that skips __post_init__ fails here as well. Each
+    # validation appends one byte to a file whose descriptor a forked worker inherits, so the records of
+    # both processes are counted; validated() reads the count back.
     @pytest.fixture
-    def validated(self, monkeypatch):
-        counts = {"records": 0}
+    def validated(self, monkeypatch, tmp_path):
+        fd = os.open(tmp_path / "validated", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
         validate = reaction.EventRecord.__post_init__
 
         def counting(record):
-            counts["records"] += 1
+            os.write(fd, b".")
             validate(record)
 
         monkeypatch.setattr(reaction.EventRecord, "__post_init__", counting)
-        return counts
+        yield lambda: os.fstat(fd).st_size
+        os.close(fd)
 
     @pytest.mark.parametrize("fmt, records", [("jsonl", 20000), ("csv", 0)])
     def test_each_json_lines_event_is_validated_once(self, tmp_path, validated, fmt, records):
         # 20000 events are four whole 4096-event JSON-lines chunks and a partial fifth
         out = tmp_path / "run"
         assert cli.main(["simulate", "--seed", "7", "--events", "20000", "--format", fmt, "--out", str(out)]) == 0
-        assert validated["records"] == records
+        assert validated() == records
 
     def test_whole_json_lines_chunks_validate_each_event_once(self, tmp_path, validated):
         # 8192 events are exactly two 4096-event chunks: no partial chunk, and no empty one after them
         out = tmp_path / "run"
         assert cli.main(["simulate", "--seed", "7", "--events", "8192", "--format", "jsonl", "--out", str(out)]) == 0
-        assert validated["records"] == 8192
+        assert validated() == 8192
 
     def test_event_records_validates_each_record_once(self, validated):
         config = ExperimentConfig(events=5000, seed=3)
         assert len(list(reaction.event_records(config, chunk_size=977))) == config.events
-        assert validated["records"] == config.events
+        assert validated() == config.events
+
+
+def assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"),
+                    reason="the JSON-lines worker needs os.fork and os.sched_getaffinity")
+class TestEventWorker:
+    # A JSON-lines simulate of two or more chunks forks one worker, which formats the odd chunks, when the
+    # process may run on two CPUs; with one CPU, or a fork that fails, the parent formats every chunk. Either
+    # way the bytes are the golden row's, and the parent reaps the worker however the run ends.
+    ROW = GOLDEN["simulate_two_chunks_jsonl"]  # 8192 events: exactly two 4096-event chunks
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Two CPUs to run on, and the pid of each process that calls os.fork."""
+        callers, fork = [], os.fork
+
+        def counted_fork():
+            callers.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "fork", counted_fork)
+        return callers
+
+    def golden_run(self, tmp_path) -> bool:
+        def output(argv):
+            assert cli.main([*argv, "--out", str(tmp_path / "run")]) == 0
+            return (tmp_path / "run").read_bytes()
+
+        return sha256_of(self.ROW.runs, output) == self.ROW.digest
+
+    def test_two_processes_give_the_golden_bytes(self, tmp_path, forks):
+        assert self.golden_run(tmp_path)
+        assert forks == [os.getpid()]
+        assert_no_child_process()
+
+    def test_one_cpu_gives_the_same_bytes_from_one_process(self, tmp_path, forks, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert self.golden_run(tmp_path)
+        assert forks == []
+
+    def test_a_fork_that_fails_gives_the_same_bytes_from_one_process(self, tmp_path, forks, monkeypatch):
+        def failing_fork():
+            forks.append(os.getpid())
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        assert self.golden_run(tmp_path)
+        assert forks == [os.getpid()]
+        assert_no_child_process()
+
+    def test_a_closed_reader_exits_141_and_leaves_no_process(self, capsys, monkeypatch, forks):
+        read_fd, write_fd = os.pipe()
+        os.close(read_fd)
+        with open(write_fd, "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert cli.main(list(self.ROW.runs[0])) == 141
+        assert capsys.readouterr().err == ""
+        assert forks == [os.getpid()]
+        assert_no_child_process()
+
+    def test_a_write_error_exits_1_and_leaves_no_process(self, capsys, forks):
+        assert cli.main([*self.ROW.runs[0], "--out", "/dev/full"]) == 1
+        assert "No space left on device" in capsys.readouterr().err
+        assert forks == [os.getpid()]
+        assert_no_child_process()
+
+    @pytest.mark.parametrize("where, status, said", [
+        ("formatting", 3, "ended early, with status 3"),  # before the worker sends its chunk
+        ("exit", 5, "ended with status 5"),  # after it sent every chunk
+    ])
+    def test_a_worker_that_fails_is_named_with_its_status(self, tmp_path, capsys, monkeypatch, forks,
+                                                          where, status, said):
+        parent = os.getpid()
+        if where == "formatting":
+            chunk_text = cli._chunk_text
+
+            def dies_in_the_worker(records, tails):
+                if os.getpid() != parent:
+                    os._exit(status)
+                return chunk_text(records, tails)
+
+            monkeypatch.setattr(cli, "_chunk_text", dies_in_the_worker)
+        else:
+            leave = os._exit
+            monkeypatch.setattr(os, "_exit", lambda code: leave(status if os.getpid() != parent else code))
+        assert cli.main([*self.ROW.runs[0], "--out", str(tmp_path / "run")]) == 1
+        assert said in capsys.readouterr().err
+        assert forks == [parent]
+        assert_no_child_process()
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB, as Linux reports it")

@@ -183,20 +183,30 @@ def test_json_lines_events_do_not_depend_on_the_event_batch(config, events, seed
 SCALAR_BOUNDS = {"beam_magnitude": (0.0, 1.0), "epsilon": (0.0, 1.0), "k_transfer": (-1.0, 1.0)}
 
 
+DEFAULT_CONFIG = ExperimentConfig()
+
+
+def or_default(key: str, strategy: st.SearchStrategy) -> st.SearchStrategy:
+    """The default config's value of ``key`` in about half the examples, else a draw from ``strategy``: many
+    examples then lie near the paper's setting (a y beam, full polarization, a pure m = 0 target)."""
+    return st.just(getattr(DEFAULT_CONFIG, key)) | strategy
+
+
 @PROPERTY
 # both vectors at full length, on the sphere: a y beam, the pure channel and |k| = 1
 @example(direction=(0.0, 1.0, 0.0), target=TargetSpec(0.0, 1.0, 0.0), wild_key=None, wild_value=0.0,
          scalars={"beam_magnitude": 1.0, "epsilon": 0.0, "k_transfer": -1.0})
 @given(
-    direction=unit_vectors(),
-    target=targets(),
-    scalars=st.fixed_dictionaries({key: st.floats(*bounds) for key, bounds in SCALAR_BOUNDS.items()}),
-    wild_key=st.sampled_from([None, *SCALAR_BOUNDS]),
+    direction=or_default("beam_direction", unit_vectors()),
+    target=or_default("target", targets()),
+    scalars=st.fixed_dictionaries({key: or_default(key, st.floats(*bounds)) for key, bounds in SCALAR_BOUNDS.items()}),
+    wild_key=st.sampled_from([*[None] * 2 * len(SCALAR_BOUNDS), *SCALAR_BOUNDS]),
     wild_value=st.floats() | st.sampled_from([np.nan, np.inf, -np.inf]),
 )
 def test_every_config_that_constructs_predicts_inside_the_unit_ball(direction, target, scalars, wild_key, wild_value):
-    # At most one scalar is drawn from all floats, NaN and infinities
-    # included; if the config refuses it, the error must name that key.
+    # In one example of three, one scalar is drawn from all floats, NaN and
+    # infinities included; if the config refuses it, the error must name that
+    # key. The others are in range, so most examples reach predict.
     if wild_key is not None:
         scalars[wild_key] = wild_value
     try:
