@@ -301,7 +301,7 @@ def _chunk_text(records: Iterable[reaction.EventRecord], tails: list) -> str:
 
 
 def _chunk_texts(config: ExperimentConfig, first: int, step: int) -> Iterator[str]:
-    """The text of chunks ``first``, ``first + step``, ...; every chunk is drawn, the others are never read.
+    """The text of chunks ``first``, ``first + step``, ...; only those chunks are drawn.
 
     Each line is its event id followed by one of ``2 * n_axes * 2`` tails,
     built once and looked up as ``tails[accepted][axis_index][spin_outcome]``;
@@ -311,9 +311,8 @@ def _chunk_texts(config: ExperimentConfig, first: int, step: int) -> Iterator[st
                         for spin in (1, -1)]
               for axis in range(len(config.analyzer_axes))]
              for accepted in ("false", "true")]
-    for index, records in enumerate(reaction._record_chunks(config, _EVENT_BATCH)):
-        if index % step == first:
-            yield _chunk_text(records, tails)
+    for records in reaction._record_chunks(config, _EVENT_BATCH, first, step):
+        yield _chunk_text(records, tails)
 
 
 class _Worker:
@@ -379,8 +378,8 @@ class _Worker:
 def _event_text(config: ExperimentConfig) -> Iterator[str]:
     """Each ``_EVENT_BATCH``-event chunk of the run's events as one string of JSON lines, in order.
 
-    With two or more chunks, and where ``_Worker.fork`` can start one, a worker formats the odd chunks
-    while this process formats the even ones; otherwise this process formats every chunk in the same loop.
+    With two or more chunks, and where ``_Worker.fork`` can start one, a worker draws and formats the odd chunks
+    while this process draws and formats the even ones; otherwise this process formats every chunk in one loop.
     The worker is reaped however the generator ends: the normal end waits for it and raises ``OSError`` if
     it exited nonzero, any other end kills it first.
     """
@@ -467,7 +466,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except BrokenPipeError:  # 141 as the shell reports SIGPIPE; the flush at exit then writes to devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 141
     except InvariantError as exc:
         print(f"spinport: numerical invariant violated: {exc}", file=sys.stderr)

@@ -318,28 +318,28 @@ def _spin_table(config: ExperimentConfig) -> tuple[float, np.ndarray]:
     return p_teleported, np.clip(0.5 * (1.0 + dot), 0.0, 1.0)
 
 
-def _event_columns(config: ExperimentConfig, chunk_size: int, *, accepted_only: bool = False) -> Iterator[tuple]:
-    """Sample the event stream; yield ``(first_id, accepted, axis_index, spin)`` per chunk.
+def _event_columns(config: ExperimentConfig, chunk_size: int, first: int = 0, step: int = 1, *,
+                   accepted_only: bool = False) -> Iterator[tuple]:
+    """Sample chunks ``first``, ``first + step``, ... of the event stream as ``(first_id, accepted, axis_index, spin)``.
 
-    ``predict``'s channel model becomes one per-run table, ``_spin_table``'s
-    ``p_up[channel, slot, axis]``. Each chunk is drawn as the raw words of
-    ``teleport._philox``, four per event. Every event's slot word, made a
-    uniform by ``teleport._uniform``, draws its Bell slot, whose singlet
-    passes the neutron-energy selection (1/4 on both channels). One rule then
-    gives each row its channel (teleported below w), its analyzer axis
-    (round-robin by event id) and its spin along that axis (+1 below ``p_up``),
-    converting only that row's channel and spin words. ``accepted_only``
-    gathers the accepted rows' words first, applies the rule to them alone and
-    yields ``accepted`` as ``True``; otherwise every row is yielded. One
-    bit generator draws the run block after block, so any ``chunk_size``
-    yields bit-identical columns, redrawn, not stored. The caller has checked
-    the seed and ``chunk_size``.
+    ``predict``'s channel model becomes one per-run table, ``_spin_table``'s ``p_up[channel, slot, axis]``. Each
+    chunk is drawn as the raw words of ``teleport._philox``, four per event. Every event's slot word, made a uniform
+    by ``teleport._uniform``, draws its Bell slot, whose singlet passes the neutron-energy selection (1/4 on both
+    channels). One rule then gives each row its channel (teleported below w), its analyzer axis (round-robin by
+    event id) and its spin along that axis (+1 below ``p_up``), converting only that row's channel and spin words.
+    ``accepted_only`` gathers the accepted rows' words first, applies the rule to them alone and yields ``accepted``
+    as ``True``; otherwise every row is yielded. One bit generator draws the run block after block and skips a chunk
+    by moving its counter one block per event, drawing nothing, so any ``chunk_size``, ``first`` and ``step`` yield
+    bit-identical columns, redrawn, not stored. The caller has checked the seed and ``chunk_size``.
     """
     p_teleported, p_up = _spin_table(config)
     n_axes = len(config.analyzer_axes)
     stream = _philox(config.seed)
     for start in range(0, config.events, chunk_size):
         stop = min(start + chunk_size, config.events)
+        if start // chunk_size % step != first:
+            stream.advance(stop - start)  # the counter random_raw(4 * (stop - start)) would leave, nothing drawn
+            continue
         # A fresh block of words per chunk holds the memory bound because it is freed before the next one is drawn
         # and each column made from it is a quarter of its size: simulate peaks at ~1.6 blocks, event_records ~2.35.
         words = stream.random_raw(4 * (stop - start)).reshape(-1, 4)
@@ -388,20 +388,13 @@ def simulate(config: ExperimentConfig, *, chunk_size: int = _DEFAULT_CHUNK) -> l
     return [PolarimetryEstimate.from_counts(*counted) for counted in zip(config.analyzer_axes, n_plus, n_minus)]
 
 
-def _records(first_id: int, accepted: np.ndarray, axis_index: np.ndarray, spin: np.ndarray) -> Iterator[EventRecord]:
-    """One chunk's ``EventRecord``s; the columns become lists only when the first record is read."""
-    yield from map(EventRecord, range(first_id, first_id + len(spin)),
-                   accepted.tolist(), axis_index.tolist(), spin.tolist())
-
-
-def _record_chunks(config: ExperimentConfig, chunk_size: int) -> Iterator[Iterator[EventRecord]]:
-    """The events ``simulate`` counts, drawn again: one lazy iterator of ``EventRecord``s per chunk. A chunk
-    that is skipped unread is drawn, but none of its records is built and none of its columns converted."""
-    for first_id, accepted, axis_index, spin in _event_columns(config, chunk_size):
-        records = _records(first_id, accepted, axis_index, spin)
+def _record_chunks(config: ExperimentConfig, chunk_size: int, first: int = 0, step: int = 1) -> Iterator[map]:
+    """The events ``simulate`` counts, drawn again: a ``map`` of ``EventRecord``s for each of chunks ``first``,
+    ``first + step``, ...; ``_event_columns`` skips the others without drawing them."""
+    for first_id, accepted, axis_index, spin in _event_columns(config, chunk_size, first, step):
+        yield map(EventRecord, range(first_id, first_id + len(spin)),
+                  accepted.tolist(), axis_index.tolist(), spin.tolist())
         del accepted, axis_index, spin
-        yield records
-        del records
 
 
 def event_records(config: ExperimentConfig, *, chunk_size: int = _DEFAULT_CHUNK) -> Iterator[EventRecord]:

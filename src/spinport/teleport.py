@@ -209,8 +209,9 @@ def _philox(seed: int) -> np.random.Philox:
     Event ``i`` of the Monte Carlo owns the words of the block after counter ``i``: channel, Bell slot, spin, unused.
     Every event reads its slot word; ``reaction.event_records`` reads all three, and ``reaction.simulate`` reads the
     channel and spin words only of accepted events, each made a uniform by ``_uniform``. So ``random_raw(4 * n)``
-    draws the next ``n`` events, each on its own block. ``run_sampled`` takes the first uniform of event 0's block,
-    computed by ``_philox_first_uniform``."""
+    draws the next ``n`` events, each on its own block, and ``advance(n)`` skips them: a chunk of events that a
+    process skips moves the counter one block per event and draws nothing. ``run_sampled`` takes the first uniform
+    of event 0's block, computed by ``_philox_first_uniform``."""
     return np.random.Philox(key=seed)
 
 

@@ -58,6 +58,22 @@ def oracle_decomposition(amplitudes: np.ndarray) -> dict:
     return branches
 
 
+_PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def born_weights_from_density_matrix(beam_bloch: np.ndarray) -> np.ndarray:
+    """Oracle: Born weights of the four pair outcomes, in BELL_ORDER.
+
+    Traces each Bell projector on particles (1, 2) against the density matrix
+    of a (possibly mixed) beam tensored with the psi+ channel pair.
+    """
+    rho_beam = 0.5 * (np.eye(2) + np.einsum("i,ijk->jk", beam_bloch, _PAULIS))
+    pair = BELL_ARRAYS[BellLabel.PSI_PLUS]
+    rho = np.kron(rho_beam, np.outer(pair, pair.conj()))
+    projectors = (np.kron(np.outer(bell, bell.conj()), np.eye(2)) for bell in map(BELL_ARRAYS.get, BELL_ORDER))
+    return np.array([np.trace(projector @ rho).real for projector in projectors])
+
+
 def searchsorted_index(u, probabilities):
     """The first-written CDF inversion, kept as the oracle of ``teleport.index_from_uniform``."""
     return np.minimum(np.searchsorted(np.cumsum(probabilities), u, side="right"), len(probabilities) - 1)

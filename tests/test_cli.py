@@ -487,6 +487,18 @@ class TestClosedReader:
         _, stderr = proc.communicate(timeout=60)
         assert (proc.returncode, stderr) == (141, b"")
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors in /proc/self/fd")
+    def test_exit_141_in_process_leaves_no_descriptor_open(self, monkeypatch):
+        # main points the closed stdout at devnull, for the flush at exit, and closes the descriptor it opened
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(3):
+            read_fd, write_fd = os.pipe()
+            os.close(read_fd)
+            with open(write_fd, "w") as stdout:
+                monkeypatch.setattr(sys, "stdout", stdout)
+                assert cli.main(["scan"]) == 141
+        assert len(os.listdir("/proc/self/fd")) == before
+
 
 class TestShutdownFreeze:
     # Importing cli registers gc.freeze to run at interpreter shutdown; main itself never freezes.

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import Phase, example, given, reject, settings
 from hypothesis import strategies as st
 
-from helpers import (event_line, oracle_events, oracle_spin_table, philox4x64_10, random_unit_vector,
-                     searchsorted_index)
+from helpers import (born_weights_from_density_matrix, event_line, oracle_events, oracle_spin_table, philox4x64_10,
+                     random_unit_vector, searchsorted_index)
 from spinport import cli, reaction
 from spinport.bellkit import BELL_ORDER, BellLabel, decompose_12, singlet_projector
 from spinport.reaction import (
@@ -296,11 +296,20 @@ def test_the_pure_python_philox_is_numpys(seed, counter):
 
 
 @settings(PROPERTY, max_examples=70)
-@given(config=configs, events=st.integers(1, 500), seed=st.integers(0, 2**128 - 1), chunk_size=st.integers(1, 5000))
-def test_event_records_are_the_scalar_oracles_events(config, events, seed, chunk_size):
+@given(config=configs, events=st.integers(1, 500), seed=st.integers(0, 2**128 - 1),
+       chunk_size=st.integers(1, 40) | st.integers(1, 5000), step=st.integers(1, 3))
+@example(config=ExperimentConfig(), events=11, seed=2**128 - 1, chunk_size=4, step=3)
+def test_event_records_are_the_scalar_oracles_events(config, events, seed, chunk_size, step):
+    # Every process of a run partitioned into chunks first, first + step, ... draws only its own chunks and skips
+    # the others on the Philox counter; together they are the oracle's events, chunk for chunk.
     config = dataclasses.replace(config, events=events, seed=seed)
+    expected = oracle_events(config)
     records = event_records(config, chunk_size=chunk_size)
-    assert [(r.event_id, r.accepted, r.axis_index, r.spin_outcome) for r in records] == oracle_events(config)
+    assert list(map(dataclasses.astuple, records)) == expected
+    for first in range(step):
+        chunks = reaction._record_chunks(config, chunk_size, first, step)
+        assert [list(map(dataclasses.astuple, chunk)) for chunk in chunks] == [
+            expected[start:start + chunk_size] for start in range(first * chunk_size, events, step * chunk_size)]
 
 
 @settings(PROPERTY, max_examples=100)
@@ -378,28 +387,31 @@ def test_the_private_norm_is_numpys_bit_for_bit(x):
         assert np.float64(_norm(x)).tobytes() == np.float64(np.linalg.norm(x)).tobytes()
 
 
+# The paper's physics over the whole Bloch sphere: beams from directions over
+# the sphere, along the six axes and within 1e-12 to 1e-4 of either pole, and
+# beams built straight from complex amplitudes, apart from ket_from_direction.
+SIX_AXES = [tuple(float(sign * (i == axis)) for i in range(3)) for axis in range(3) for sign in (1, -1)]
+directions = unit_vectors() | st.sampled_from(SIX_AXES) | near_pole_directions()
+
+
 @PROPERTY
-@given(unit_vectors() | near_pole_directions())
-def test_the_reaction_tables_are_what_bellkit_computes(direction):
+@given(directions, st.floats(0.0, 1.0, exclude_max=True))
+def test_the_reaction_tables_are_what_bellkit_computes(direction, magnitude):
     # reaction's Monte Carlo reads _BELL_WEIGHTS and _BRANCH_SIGNS; the exact protocol must give the same
-    # Born weights and conditional Bloch vectors, over the sphere and within 1e-12 to 1e-4 of either pole.
+    # Born weights and conditional Bloch vectors for the pure beam, and the four Bell projectors traced against
+    # the density matrix of a mixed beam (|P| < 1) or of the pure one the same weights.
     n = np.array(direction)
     decomposition = decompose_12(tensor(prepare_beam(BeamState.from_direction(n)), prepare_deuteron()))
     weights = [decomposition.probability(label) for label in BELL_ORDER]
     assert np.allclose(weights, reaction._BELL_WEIGHTS, atol=ATOL_ALGEBRA, rtol=0)
+    for bloch in (magnitude * n, n):
+        assert np.allclose(born_weights_from_density_matrix(bloch), reaction._BELL_WEIGHTS, atol=ATOL_ALGEBRA, rtol=0)
     for signs, label in zip(reaction._BRANCH_SIGNS, BELL_ORDER):
         conditional = bloch_from(density_from(decomposition.conditional(label))).as_array()
         assert np.allclose(conditional, signs * n, atol=ATOL_ALGEBRA, rtol=0)
     # the discriminated singlet carries the teleported image (-Px, -Py, Pz)
     singlet = bloch_from(density_from(decomposition.conditional(BellLabel.PSI_MINUS))).as_array()
     assert np.allclose(singlet, [-n[0], -n[1], n[2]], atol=ATOL_ALGEBRA, rtol=0)
-
-
-# The paper's physics over the whole Bloch sphere: beams from directions over
-# the sphere, along the six axes and within 1e-12 to 1e-4 of either pole, and
-# beams built straight from complex amplitudes, apart from ket_from_direction.
-SIX_AXES = [tuple(float(sign * (i == axis)) for i in range(3)) for axis in range(3) for sign in (1, -1)]
-directions = unit_vectors() | st.sampled_from(SIX_AXES) | near_pole_directions()
 
 
 @st.composite

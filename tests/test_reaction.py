@@ -9,7 +9,6 @@ import pytest
 
 from helpers import random_unit_vector
 from spinport import reaction
-from spinport.bellkit import BELL_ORDER, BellLabel, bell_states, decompose_12
 from spinport.reaction import (
     ExperimentConfig,
     PolarimetryEstimate,
@@ -21,8 +20,8 @@ from spinport.reaction import (
     simulate,
     target_moments,
 )
-from spinport.spinalg import DimensionError, SpinAlgebraError, bloch_from, density_from, pauli, tensor
-from spinport.teleport import BeamState, _philox, _uniform, prepare_beam, prepare_deuteron
+from spinport.spinalg import DimensionError, SpinAlgebraError
+from spinport.teleport import _philox, _uniform
 
 X, Y, Z = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)
 
@@ -531,50 +530,10 @@ class TestAcceptance:
         assert peak < 2**20, f"tracemalloc peak {peak / 2**20:.2f} MiB"
 
 
-def born_weights_from_density_matrix(beam_bloch: np.ndarray) -> np.ndarray:
-    """Oracle: Born weights of the four pair outcomes, in BELL_ORDER.
-
-    Traces each Bell projector on particles (1, 2) against the density matrix
-    of a (possibly mixed) beam tensored with the psi+ channel pair.
-    """
-    paulis = np.array([pauli(axis).entries for axis in "xyz"])
-    rho_beam = 0.5 * (np.eye(2) + np.einsum("i,ijk->jk", beam_bloch, paulis))
-    states = bell_states()
-    pair = states[BellLabel.PSI_PLUS].amplitudes
-    rho = np.kron(rho_beam, np.outer(pair, pair.conj()))
-    weights = []
-    for label in BELL_ORDER:
-        bell = states[label].amplitudes
-        projector = np.kron(np.outer(bell, bell.conj()), np.eye(2))
-        weights.append(np.trace(projector @ rho).real)
-    return np.array(weights)
-
-
 class TestPhysicalTables:
     def test_bell_weights_are_exact_quarters(self):
         assert reaction._BELL_WEIGHTS.tolist() == [0.25] * 4
         assert np.cumsum(reaction._BELL_WEIGHTS).tolist() == [0.25, 0.5, 0.75, 1.0]
-
-    def test_bell_weights_match_density_matrix_and_decomposition(self):
-        rng = np.random.default_rng(2024)
-        for _ in range(200):
-            direction = random_unit_vector(rng)
-            mixed = rng.uniform(0.0, 1.0) * direction
-            assert np.allclose(born_weights_from_density_matrix(mixed), reaction._BELL_WEIGHTS, atol=1e-12, rtol=0)
-            assert np.allclose(born_weights_from_density_matrix(direction), reaction._BELL_WEIGHTS, atol=1e-12, rtol=0)
-            beam = BeamState.from_direction(direction)
-            probabilities = decompose_12(tensor(prepare_beam(beam), prepare_deuteron())).probabilities()
-            assert np.allclose(list(probabilities.values()), reaction._BELL_WEIGHTS, atol=1e-12, rtol=0)
-
-    def test_branch_signs_match_decomposition_conditionals(self):
-        rng = np.random.default_rng(2025)
-        for _ in range(200):
-            n = random_unit_vector(rng)
-            beam = BeamState.from_direction(n)
-            decomposition = decompose_12(tensor(prepare_beam(beam), prepare_deuteron()))
-            for signs, label in zip(reaction._BRANCH_SIGNS, BELL_ORDER):
-                conditional = bloch_from(density_from(decomposition.conditional(label))).as_array()
-                assert np.allclose(conditional, signs * n, atol=1e-12, rtol=0)
 
 
 def test_config_replace_keeps_validation():
