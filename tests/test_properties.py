@@ -395,23 +395,30 @@ directions = unit_vectors() | st.sampled_from(SIX_AXES) | near_pole_directions()
 
 
 @PROPERTY
-@given(directions, st.floats(0.0, 1.0, exclude_max=True))
-def test_the_reaction_tables_are_what_bellkit_computes(direction, magnitude):
+@given(directions)
+def test_the_reaction_tables_are_what_bellkit_computes(direction):
     # reaction's Monte Carlo reads _BELL_WEIGHTS and _BRANCH_SIGNS; the exact protocol must give the same
-    # Born weights and conditional Bloch vectors for the pure beam, and the four Bell projectors traced against
-    # the density matrix of a mixed beam (|P| < 1) or of the pure one the same weights.
+    # Born weights and conditional Bloch vectors, over the sphere, along the axes and within 1e-12 to 1e-4 of a pole.
     n = np.array(direction)
     decomposition = decompose_12(tensor(prepare_beam(BeamState.from_direction(n)), prepare_deuteron()))
     weights = [decomposition.probability(label) for label in BELL_ORDER]
     assert np.allclose(weights, reaction._BELL_WEIGHTS, atol=ATOL_ALGEBRA, rtol=0)
-    for bloch in (magnitude * n, n):
-        assert np.allclose(born_weights_from_density_matrix(bloch), reaction._BELL_WEIGHTS, atol=ATOL_ALGEBRA, rtol=0)
     for signs, label in zip(reaction._BRANCH_SIGNS, BELL_ORDER):
         conditional = bloch_from(density_from(decomposition.conditional(label))).as_array()
         assert np.allclose(conditional, signs * n, atol=ATOL_ALGEBRA, rtol=0)
     # the discriminated singlet carries the teleported image (-Px, -Py, Pz)
     singlet = bloch_from(density_from(decomposition.conditional(BellLabel.PSI_MINUS))).as_array()
     assert np.allclose(singlet, [-n[0], -n[1], n[2]], atol=ATOL_ALGEBRA, rtol=0)
+
+
+@PROPERTY
+@given(directions, st.floats(0.0, 1.0, exclude_max=True))
+def test_a_mixed_beam_has_the_reaction_tables_born_weights(direction, magnitude):
+    # The four Bell projectors traced against the density matrix of a mixed beam (|P| < 1), or of the pure one,
+    # tensored with the psi+ pair give _BELL_WEIGHTS: the pair outcome carries no trace of the beam's polarization.
+    n = np.array(direction)
+    for bloch in (magnitude * n, n):
+        assert np.allclose(born_weights_from_density_matrix(bloch), reaction._BELL_WEIGHTS, atol=ATOL_ALGEBRA, rtol=0)
 
 
 @st.composite
