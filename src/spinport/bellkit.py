@@ -119,27 +119,38 @@ class BellBranch:
         return abs(self.coefficient) ** 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BellDecomposition:
-    """Coefficients and particle-3 conditionals of a three-particle state."""
+    """Coefficients and particle-3 conditionals of a three-particle state; the check keeps the branch
+    probabilities it sums, in ``BELL_ORDER``."""
 
     branches: Mapping[BellLabel, BellBranch]
 
+    def __init__(self, branches: Mapping[BellLabel, BellBranch]) -> None:
+        self.__dict__["branches"] = branches
+        self.__post_init__()
+
     def __post_init__(self) -> None:
-        if set(self.branches) != _BELL_LABELS:
+        branches = self.branches
+        if set(branches) != _BELL_LABELS:
             raise SpinAlgebraError("decomposition must carry exactly one branch per Bell label")
-        total = sum(branch.probability for branch in self.branches.values())
+        try:
+            probabilities = {label: branches[label].probability for label in BELL_ORDER}
+        except (TypeError, AttributeError):  # labels in a list, or a value that is not a BellBranch
+            raise SpinAlgebraError("decomposition must map each Bell label to a BellBranch") from None
+        total = sum(probabilities.values())
         if not abs(total - 1.0) <= ATOL_ALGEBRA:
             raise NormalizationError(f"Bell branch probabilities sum to {total}, not 1 within 1e-12")
+        self.__dict__["_probabilities"] = probabilities
 
     def conditional(self, label: BellLabel) -> Ket:
         return self.branches[label].conditional
 
     def probability(self, label: BellLabel) -> float:
-        return self.branches[label].probability
+        return self._probabilities[label]
 
     def probabilities(self) -> dict[BellLabel, float]:
-        return {label: self.branches[label].probability for label in BELL_ORDER}
+        return dict(self._probabilities)
 
     def reconstruct(self) -> Ket:
         """Reassemble sum_B c_B |B>|chi_B> as a dim-8 ket."""

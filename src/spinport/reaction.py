@@ -169,13 +169,18 @@ class ExperimentConfig:
         return self.beam_magnitude * self.beam_direction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ModelPrediction:
     """Neutron polarization under the two models, and their magnitude ratio."""
 
     qt_bloch: BlochVector
     conventional_bloch: BlochVector
     enhancement: float
+
+    def __init__(self, qt_bloch: BlochVector, conventional_bloch: BlochVector, enhancement: float) -> None:
+        fields = self.__dict__
+        fields["qt_bloch"], fields["conventional_bloch"] = qt_bloch, conventional_bloch
+        fields["enhancement"] = enhancement
 
 
 def _channel_model(config: ExperimentConfig, signs: np.ndarray = _BRANCH_SIGNS) -> tuple[float, np.ndarray, np.ndarray]:
@@ -283,14 +288,15 @@ class PolarimetryEstimate:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "axis", unit_vector(self.axis, "analyzer axis"))
-        if _integer(self.n_events, "n_events") < 0:
+        if (n_events := _integer(self.n_events, "n_events")) < 0:
             raise ValueError(f"n_events {self.n_events} is negative")
-        _real(self.p_hat, "p_hat")
-        _real(self.sigma, "sigma")
-        if self.n_events > 0 and not abs(self.p_hat) <= 1.0:
-            raise ValueError(f"|p_hat| = {abs(self.p_hat)} exceeds 1")
-        if self.n_events > 0 and not 0.0 <= self.sigma < np.inf:
-            raise ValueError(f"sigma {self.sigma} is not a finite value >= 0")
+        p_hat, sigma = _real(self.p_hat, "p_hat"), _real(self.sigma, "sigma")
+        if n_events > 0 and not abs(p_hat) <= 1.0:
+            raise ValueError(f"|p_hat| = {abs(p_hat)} exceeds 1")
+        if n_events > 0 and not 0.0 <= sigma < np.inf:
+            raise ValueError(f"sigma {sigma} is not a finite value >= 0")
+        for name, value in (("p_hat", p_hat), ("sigma", sigma), ("n_events", n_events)):
+            object.__setattr__(self, name, value)
 
     @property
     def defined(self) -> bool:

@@ -22,17 +22,19 @@ function; everything here can be shared freely across threads.
 Layering: public functions check value objects at the boundary and call the
 ``_``-functions, which work on raw ``ndarray`` amplitudes (one code path each).
 ``Ket(...)`` is the constructor for caller data: it copies, checks the shape
-and dimension, and freezes. ``_ket`` wraps a fresh array that the core has
-just computed, with no copy and no check; ``normalize`` uses it.
-``tensor`` keeps ``Ket(...)``: ``perfbench``'s self-test traces a ``Ket``
-construction under ``tensor``, and ``_tensor`` returns a reshaped view, which
-the copy turns into an array that owns its data.
+and dimension, and freezes. ``_ket`` wraps, with no copy and no check, an
+array that the core has just computed or one that is already read-only and
+checked, such as a ``teleport.BeamState``'s amplitudes; ``normalize`` and
+``ket_from_direction`` use it. ``tensor`` keeps ``Ket(...)``: ``perfbench``'s
+self-test traces a ``Ket`` construction under ``tensor``, and ``_tensor``
+returns a reshaped view, which the copy turns into an array that owns its data.
 
-``BlochVector``, ``bellkit.BellBranch`` and ``teleport.TeleportResult``, built
-per protocol run, store their fields in ``__dict__`` by a hand-written
-``__init__``, not one ``object.__setattr__`` per field as a generated frozen one
-does, and call ``__post_init__`` where the class has one: each check still runs
-once per construction.
+``BlochVector``, ``bellkit.BellBranch``, ``bellkit.BellDecomposition``,
+``teleport.TeleportResult`` and ``reaction.ModelPrediction``, built per protocol
+run, and ``reaction.EventRecord``, built per event, store their fields in
+``__dict__`` by a hand-written ``__init__``, not one ``object.__setattr__`` per
+field as a generated frozen one does, and call ``__post_init__`` where the class
+has one: each check still runs once per construction.
 """
 
 from __future__ import annotations
@@ -124,7 +126,8 @@ class Ket:
 
 def _ket(amplitudes: np.ndarray) -> Ket:
     """``Ket(amplitudes)`` without the copy and the checks, for a complex 1-d array of dim 2, 4 or 8 that the
-    array core has just computed and that nothing else holds; the array is frozen in place."""
+    array core has just computed and that nothing else holds, or that is already read-only and shared only
+    read-only (a ``teleport.BeamState``'s amplitudes); the array is frozen in place."""
     amplitudes.setflags(write=False)
     ket = object.__new__(Ket)
     object.__setattr__(ket, "amplitudes", amplitudes)
@@ -249,8 +252,9 @@ def _integer(value, key: str) -> int:
 
 
 def _real(value, key: str, error: type[ValueError] = ValueError) -> float:
-    """A real number that is not a bool, as a float; ``key`` names it in an ``error``."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+    """A real number that is not a bool, as a float; ``key`` names it in an ``error``. A float (numpy's float64
+    too) skips the ``numbers.Real`` check, as in ``unit_vector``."""
+    if isinstance(value, float) or isinstance(value, numbers.Real) and not isinstance(value, bool):
         return float(value)
     raise error(f"{key} {repr(value) if isinstance(value, str) else value} is not a real number")
 
@@ -365,4 +369,4 @@ def ket_from_direction(n: Iterable[float]) -> Ket:
     v = unit_vector(n, "direction")
     theta = float(np.arctan2(np.hypot(v[0], v[1]), v[2]))  # arccos(z) would lose the transverse part near ±z
     phi = float(np.arctan2(v[1], v[0]))
-    return Ket([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)])
+    return _ket(np.array([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)], dtype=complex))

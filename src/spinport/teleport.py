@@ -12,15 +12,17 @@ Layering: the public functions check their inputs at the boundary and wrap
 their results in value objects; the ``_``-functions are pure algebra on raw
 amplitude arrays. ``run_postselected`` stays on arrays, over ``bellkit``'s
 array core, and wraps its results once at exit. Who tests what: ``BeamState``
-the beam; nobody ``neutron_pre``, the split of a nonzero row, normalized by
-construction; ``_result`` ``neutron_post``, which a custom policy within
-``CorrectionPolicy``'s 1e-12 unitarity test can move off the unit sphere;
-``fidelity`` its own arguments. The beam, ``neutron_pre`` and ``neutron_post``
-are fresh arrays of this module or of ``bellkit``, so ``spinalg._ket`` wraps
-them without the copy and the checks of ``Ket(...)``, which stays the
-constructor for caller data. ``run_sampled``'s three-particle state comes from
-``spinalg.tensor``, which validates. ``TeleportResult`` is built through a
-hand-written ``__init__`` (see ``spinalg``) that still runs its range checks
+the beam, once, keeping (a, b) as one read-only array that every run reads;
+``CorrectionPolicy`` its operator; nobody ``neutron_pre``, the split of a
+nonzero row, normalized by construction; ``_result`` ``neutron_post``, which a
+custom policy within ``CorrectionPolicy``'s 1e-12 unitarity test can move off
+the unit sphere; ``fidelity`` its own arguments. The beam's read-only array and
+the fresh ``neutron_pre`` and ``neutron_post`` arrays are wrapped by
+``spinalg._ket`` without the copy and the checks of ``Ket(...)``, which stays
+the constructor for caller data. ``run_sampled``'s three-particle state comes
+from ``spinalg.tensor``, which validates; its draw reads the probabilities that
+``bellkit.BellDecomposition``'s check kept. ``TeleportResult`` is built through
+a hand-written ``__init__`` (see ``spinalg``) that still runs its range checks
 once per result.
 """
 
@@ -57,7 +59,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BeamState:
-    """Incoming spin-1/2 amplitudes (a, b) with |a|^2 + |b|^2 = 1."""
+    """Incoming spin-1/2 amplitudes (a, b) with |a|^2 + |b|^2 = 1, kept once checked as the read-only complex
+    array ``_amplitudes``; pickling and copying rebuild the state through ``BeamState(a, b)``."""
 
     a: complex
     b: complex
@@ -65,17 +68,25 @@ class BeamState:
     def __post_init__(self) -> None:
         for name in ("a", "b"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Complex) or isinstance(value, bool):
+            # A complex or a float (numpy's complex128 and float64 too) skips the numbers.Complex check.
+            if not (isinstance(value, (complex, float)) or isinstance(value, numbers.Complex)
+                    and not isinstance(value, bool)):
                 raise SpinAlgebraError(f"amplitude {name} {value!r} is not a complex number")
             object.__setattr__(self, name, complex(value))
         total = abs(self.a) ** 2 + abs(self.b) ** 2
         if not abs(total - 1.0) <= ATOL_ALGEBRA:
             raise NormalizationError(f"|a|^2 + |b|^2 = {total}, not 1 within 1e-12")
+        amplitudes = np.array([self.a, self.b], dtype=complex)
+        amplitudes.setflags(write=False)
+        object.__setattr__(self, "_amplitudes", amplitudes)
+
+    def __reduce__(self):
+        return type(self), (self.a, self.b)
 
     @classmethod
     def from_direction(cls, n) -> "BeamState":
-        k = spinalg.ket_from_direction(n)
-        return cls(k.amplitudes[0], k.amplitudes[1])
+        a, b = spinalg.ket_from_direction(n).amplitudes.tolist()
+        return cls(a, b)
 
     def bloch(self) -> spinalg.BlochVector:
         return spinalg.bloch_from(spinalg.density_from(prepare_beam(self)))
@@ -89,6 +100,9 @@ class CorrectionPolicy:
     operator: Operator
 
     def __post_init__(self) -> None:
+        if not isinstance(self.operator, Operator):
+            kind = type(self.operator).__name__
+            raise SpinAlgebraError(f"correction {self.name!r} needs a spinalg.Operator, got {kind}")
         if self.operator.dim != 2 or not self.operator.is_unitary:
             raise SpinAlgebraError(f"correction {self.name!r} needs a single-particle unitary within 1e-12")
 
@@ -154,8 +168,8 @@ def prepare_deuteron() -> Ket:
 
 
 def prepare_beam(s: BeamState) -> Ket:
-    """Particle-1 ket with amplitudes (a, b)."""
-    return _ket(np.array([s.a, s.b], dtype=complex))
+    """Particle-1 ket with amplitudes (a, b): the beam's own read-only array."""
+    return _ket(s._amplitudes)
 
 
 def _fidelity(beam: np.ndarray, neutron: np.ndarray) -> float:
@@ -267,7 +281,7 @@ def _result(beam: np.ndarray, outcome: BellLabel, probability: float, neutron_pr
 
 def run_postselected(s: BeamState, policy: CorrectionPolicy = SIGMA_Z) -> TeleportResult:
     """Run the protocol keeping only the discriminated psi- outcome."""
-    beam = np.array([s.a, s.b], dtype=complex)
+    beam = s._amplitudes
     probability, neutron_pre = bellkit._project(_tensor(beam, _DEUTERON.amplitudes), BellLabel.PSI_MINUS)
     return _result(beam, BellLabel.PSI_MINUS, probability, _ket(neutron_pre), policy)
 

@@ -170,10 +170,20 @@ class TestDecompose:
         rng = np.random.default_rng(41)
         for _ in range(2000):
             psi = random_ket(rng, 8)
-            branches = decompose_12(psi).branches
+            decomposition = decompose_12(psi)
+            branches, probabilities = decomposition.branches, decomposition.probabilities()
             for label, (probability, conditional) in oracle_decomposition(psi.amplitudes).items():
-                assert branches[label].probability == probability
+                assert branches[label].probability == probabilities[label] == probability
+                assert decomposition.probability(label) == probability
                 assert branches[label].conditional.amplitudes.tobytes() == conditional.tobytes()
+
+    def test_the_kept_probabilities_are_in_bell_order_and_handed_out_as_a_copy(self):
+        decomposition = decompose_12(protocol_input(0.6, 0.8j))
+        probabilities = decomposition.probabilities()
+        assert list(probabilities) == list(BELL_ORDER)
+        probabilities[BellLabel.PSI_MINUS] = 1.0
+        singlet = decomposition.branches[BellLabel.PSI_MINUS].probability
+        assert decomposition.probabilities()[BellLabel.PSI_MINUS] == singlet != 1.0
 
     def test_vanishing_branches_are_flagged(self):
         psi = tensor(Ket(BELL_ARRAYS[BellLabel.PSI_PLUS]), Ket([1, 0]))

@@ -399,6 +399,14 @@ class TestSimulate:
         with pytest.raises(SpinAlgebraError, match="^analyzer axis must be a 3-vector of real numbers"):
             PolarimetryEstimate(bad, 0.5, 0.1, n_events=4)
 
+    def test_the_checked_values_are_stored_as_int_and_float(self):
+        for estimate in (
+            PolarimetryEstimate(np.array(X), 1, 0, 4.0),
+            PolarimetryEstimate(np.array(X), np.float32(1.0), np.float64(0.0), np.int64(4)),
+        ):
+            stored = (estimate.p_hat, estimate.sigma, estimate.n_events)
+            assert [(type(value), value) for value in stored] == [(float, 1.0), (float, 0.0), (int, 4)]
+
     def test_estimator_error_formula(self):
         estimate = PolarimetryEstimate.from_counts(np.array(X), 75, 25)
         assert estimate.p_hat == pytest.approx(0.5)

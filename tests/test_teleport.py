@@ -1,6 +1,8 @@
 """Tests for the teleportation protocol layer."""
 
+import copy
 import dataclasses
+import pickle
 import re
 
 import numpy as np
@@ -109,6 +111,46 @@ class TestPreparation:
         assert np.allclose(beam.bloch().as_array(), [0, 0, -1], atol=1e-12)
 
 
+def assert_amplitudes_of(beam: BeamState) -> None:
+    """The beam's stored array: read-only complex128, holding exactly ``[a, b]``."""
+    amplitudes = beam._amplitudes
+    assert amplitudes.dtype == np.complex128 and amplitudes.shape == (2,) and not amplitudes.flags.writeable
+    assert amplitudes.tobytes() == np.array([beam.a, beam.b], dtype=complex).tobytes()
+    with pytest.raises(ValueError):
+        amplitudes[0] = 1.0
+
+
+class TestBeamStateAmplitudes:
+    # BeamState keeps (a, b) as one read-only array, which every protocol run of the beam reads.
+    def test_the_amplitudes_are_one_read_only_complex_array(self):
+        for beam in [*AXIS_BEAMS.values(), BeamState(np.float64(0.6), np.complex128(0.8j))]:
+            assert_amplitudes_of(beam)
+
+    @pytest.mark.parametrize(
+        "round_trip",
+        [lambda beam: pickle.loads(pickle.dumps(beam)), copy.copy, copy.deepcopy, dataclasses.replace],
+        ids=["pickle", "copy", "deepcopy", "replace"],
+    )
+    def test_a_copy_is_an_equal_state_with_a_read_only_array(self, round_trip):
+        beam = BeamState(0.6, 0.8j)
+        again = round_trip(beam)
+        assert type(again) is BeamState and again == beam and hash(again) == hash(beam)
+        assert_amplitudes_of(again)
+
+    def test_a_replaced_amplitude_gives_a_new_array(self):
+        replaced = dataclasses.replace(BeamState(0.6, 0.8j), a=0.8, b=0.6j)
+        assert_amplitudes_of(replaced)
+        assert replaced._amplitudes.tolist() == [0.8, 0.6j]
+
+    def test_prepare_beam_wraps_the_beams_array(self):
+        beam = BeamState.from_direction((0.0, 0.6, -0.8))
+        assert prepare_beam(beam).amplitudes.tobytes() == beam._amplitudes.tobytes()
+        for policy in POLICIES.values():
+            run_postselected(beam, policy)
+        run_sampled(beam, SIGMA_Z, 3)
+        assert_amplitudes_of(beam)
+
+
 class TestCompose:
     def test_up_beam_amplitudes(self):
         psi = tensor(prepare_beam(BeamState(1, 0)), prepare_deuteron())
@@ -152,6 +194,11 @@ class TestCorrection:
     def test_custom_policy_rejects_a_two_particle_operator(self):
         with pytest.raises(SpinAlgebraError):
             CorrectionPolicy.custom(Operator(np.eye(4)))
+
+    def test_a_correction_that_is_not_an_operator_is_refused_by_name(self):
+        message = "correction 'custom' needs a spinalg.Operator, got ndarray"
+        with pytest.raises(SpinAlgebraError, match=re.escape(message)):
+            CorrectionPolicy.custom(np.eye(2))
 
     def test_parse(self):
         assert CorrectionPolicy.parse("ry_pi") == RY_PI
