@@ -22,9 +22,13 @@ exact protocol calls with a beam that ``BeamState`` has already tested; the
 one refusal among them is ``_project``'s, of a zero-probability outcome.
 ``_project`` multiplies only the Bell row it is asked for, by the one
 vector-matrix product of the test suite's oracle, which gives the bits of that
-row of ``_project_12``. Every conditional and reconstruction is a fresh array
-of that algebra, which ``spinalg._ket`` wraps unchecked; only a zero branch's
-placeholder goes through ``Ket(...)``.
+row of ``_project_12``. It forms that product with ``ndarray.dot``, not ``@``:
+on a 4-vector times a 4x2 matrix ``.dot`` took about 0.55 us against 1.0 us
+for ``@`` (numpy 2.4.6), with the same bits (see ``spinalg``); the bit-for-bit
+tests against the oracle decomposition and ``teleport``'s oracle path guard it.
+Every conditional and reconstruction is a fresh array of that algebra, which
+``spinalg._ket`` wraps unchecked; only a zero branch's placeholder goes through
+``Ket(...)``.
 """
 
 from __future__ import annotations
@@ -189,7 +193,7 @@ def _project_12(amplitudes: np.ndarray) -> np.ndarray:
 
 def _project(amplitudes: np.ndarray, b: BellLabel) -> tuple[float, np.ndarray]:
     """Probability of outcome ``b`` of dim-8 ``amplitudes`` and the normalized particle-3 conditional."""
-    coefficient, conditional = _split(_BELL_ROW[b] @ amplitudes.reshape(4, 2))
+    coefficient, conditional = _split(_BELL_ROW[b].dot(amplitudes.reshape(4, 2)))
     probability = abs(coefficient) ** 2
     if probability < 1e-14:
         raise ZeroProbabilityError(f"outcome {b.value} has zero probability; conditional undefined")

@@ -304,6 +304,7 @@ class PolarimetryEstimate:
 
     @classmethod
     def from_counts(cls, axis: np.ndarray, n_plus: int, n_minus: int) -> "PolarimetryEstimate":
+        n_plus, n_minus = _integer(n_plus, "n_plus"), _integer(n_minus, "n_minus")
         if min(n_plus, n_minus) < 0:
             raise ValueError(f"counts n_plus {n_plus} and n_minus {n_minus} must not be negative")
         n = n_plus + n_minus

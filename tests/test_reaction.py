@@ -364,8 +364,13 @@ class TestSimulate:
             (lambda: PolarimetryEstimate.from_counts(np.array(X), 2, -2), "n_minus -2"),
             (lambda: PolarimetryEstimate.from_counts(np.array(X), -1, 0), "n_plus -1"),
             (lambda: PolarimetryEstimate(np.array(X), 0.5, 0.1, n_events=-3), "n_events -3"),
-            (lambda: PolarimetryEstimate.from_counts(np.array(X), 1.5, 2), "n_events 3.5 is not an integer"),
+            # each count by its own name: a fractional, bool or NaN count is refused even where the sum is integral
+            (lambda: PolarimetryEstimate.from_counts(np.array(X), 1.5, 0.5), "n_plus 1.5 is not an integer"),
             (lambda: PolarimetryEstimate(np.array(X), 0.5, 0.1, n_events=True), "n_events True is not an integer"),
+            (lambda: PolarimetryEstimate.from_counts(np.array(X), 2, 0.5), "n_minus 0.5 is not an integer"),
+            (lambda: PolarimetryEstimate.from_counts(np.array(X), True, 0), "n_plus True is not an integer"),
+            (lambda: PolarimetryEstimate.from_counts(np.array(X), 1, False), "n_minus False is not an integer"),
+            (lambda: PolarimetryEstimate.from_counts(np.array(X), 2, float("nan")), "n_minus nan is not an integer"),
         ),
     )
     def test_negative_counts_are_refused_by_name(self, build, key):

@@ -133,6 +133,14 @@ class TestTensor:
         assert np.allclose(out.amplitudes, expected, atol=1e-15)
         assert np.allclose(out.amplitudes, [0, 0, SQRT_HALF, 0, SQRT_HALF, 0, 0, 0], atol=1e-15)
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 4), (4, 2)])
+    def test_matches_kron_bit_for_bit(self, dims):
+        # np.multiply.outer must form each product a_i * b_j as np.kron does, on every numpy the tests run on
+        rng = np.random.default_rng(dims)
+        for _ in range(500):
+            a, b = (random_ket(rng, dim) for dim in dims)
+            assert tensor(a, b).amplitudes.tobytes() == np.kron(a.amplitudes, b.amplitudes).tobytes()
+
     def test_dimension_overflow(self):
         with pytest.raises(DimensionError):
             tensor(Ket(PSI_PLUS), Ket(PSI_PLUS))
